@@ -107,7 +107,7 @@ fn main() {
     baseline("serve_throughput", "BENCH_serve.json");
     // Mixed read/write sweeps through the mutable serving tier: the
     // YCSB-B 95/5 shape and the YCSB-A 50/50 shape, one shard point
-    // each — write barriers and epoch reclamation on the hot path.
+    // each — write barriers on the hot path.
     for write_frac in ["0.05", "0.5"] {
         run(
             "serve_throughput",

@@ -26,8 +26,8 @@
 //! With `--write-frac F`, that fraction of requests become `Insert`
 //! batches over the same Zipfian key stream (F=0.05 is the YCSB-B
 //! 95/5 shape, F=0.5 the YCSB-A 50/50 shape) — the sweep then measures
-//! the mutable serving tier with write barriers and epoch reclamation
-//! on the hot path, and each run reports its write-op counters.
+//! the mutable serving tier with write barriers on the hot path, and
+//! each run reports its write-op counters.
 //!
 //! Usage: `serve_throughput [--shards N] [--probes N] [--entries N]
 //! [--theta T] [--req-size N] [--write-frac F] [--scrape-ms N]
@@ -252,7 +252,7 @@ fn render_json(args: &Args, runs: &[Run], engines: &[widx_bench::prof::EnginePro
             out,
             "\"shards\": {}, \"inflight\": {}, \"batch_size\": {}, \
              \"wall_ms\": {:.3}, \"keys_per_sec\": {:.0}, \"live_scrapes\": {}, \
-             \"write_ops\": {}, \"write_batches\": {}, \"epoch_reclaimed\": {}, ",
+             \"write_ops\": {}, \"write_batches\": {}, ",
             run.shards,
             run.inflight,
             run.batch_size,
@@ -261,7 +261,6 @@ fn render_json(args: &Args, runs: &[Run], engines: &[widx_bench::prof::EnginePro
             run.scrapes,
             run.stats.total_write_ops(),
             run.stats.total_write_batches(),
-            run.stats.epoch_reclaimed,
         );
         let _ = write!(
             out,

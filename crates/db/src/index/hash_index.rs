@@ -7,15 +7,11 @@
 //!
 //! The index is **mutable**: [`insert`](HashIndex::insert),
 //! [`delete`](HashIndex::delete), and [`update`](HashIndex::update)
-//! serve the online write path. Unlinked overflow nodes are never freed
-//! directly — their pool slots are *retired* into an epoch list (see
-//! [`crate::epoch`]) and reused only once no walker pinned at an older
-//! epoch remains in flight, so an in-flight probe holding a node index
-//! across a yield can never observe the slot repurposed.
+//! serve the online write path. An unlinked overflow node's pool slot
+//! goes straight onto a free list and the next insert reuses it. That is
+//! safe because mutation takes `&mut self`: no walker can hold a node
+//! index into this index while it is being written.
 
-use std::sync::Arc;
-
-use crate::epoch::{EpochDomain, RetireList};
 use crate::hash::HashRecipe;
 
 /// Sentinel for "no next node".
@@ -79,10 +75,8 @@ pub struct HashIndex {
     nodes: Vec<Node>,
     /// Entry count (buckets' `count` fields summed, maintained online).
     len: usize,
-    /// Retired/free overflow-pool slots awaiting epoch-safe reuse.
-    retire: RetireList,
-    /// The reclamation domain mutations stamp retirements against.
-    domain: Arc<EpochDomain>,
+    /// Unlinked overflow-pool slots, reused by the next insert.
+    free: Vec<u32>,
 }
 
 impl HashIndex {
@@ -105,8 +99,7 @@ impl HashIndex {
             buckets: vec![Bucket::EMPTY; bucket_count],
             nodes: Vec::new(),
             len: 0,
-            retire: RetireList::default(),
-            domain: EpochDomain::new(),
+            free: Vec::new(),
         };
         for (key, payload) in pairs {
             index.insert(key, payload);
@@ -114,23 +107,10 @@ impl HashIndex {
         index
     }
 
-    /// Attaches the epoch domain mutations stamp retirements against —
-    /// call once, before serving, so all of a service's indexes share
-    /// one domain (and its `widx_epoch_*` gauges).
-    pub fn set_domain(&mut self, domain: Arc<EpochDomain>) {
-        self.domain = domain;
-    }
-
-    /// The epoch domain this index retires into.
-    #[must_use]
-    pub fn domain(&self) -> &Arc<EpochDomain> {
-        &self.domain
-    }
-
     /// Inserts one `(key, payload)` entry (duplicates allowed).
     ///
-    /// Reuses a reclaimed pool slot when one is free; otherwise grows
-    /// the pool.
+    /// Reuses a freed pool slot when one is free; otherwise grows the
+    /// pool.
     pub fn insert(&mut self, key: u64, payload: u64) {
         let b = self.recipe.bucket_of(key, self.buckets.len() as u64) as usize;
         let bucket = &mut self.buckets[b];
@@ -145,7 +125,7 @@ impl HashIndex {
                 payload,
                 next: bucket.next,
             };
-            let slot = match self.retire.alloc() {
+            let slot = match self.free.pop() {
                 Some(slot) => {
                     self.nodes[slot as usize] = node;
                     slot
@@ -162,14 +142,12 @@ impl HashIndex {
     }
 
     /// Removes **every** entry stored under `key`, returning how many
-    /// were removed. Unlinked overflow nodes are retired at the current
-    /// epoch, not freed.
+    /// were removed. Unlinked overflow nodes go onto the free list.
     pub fn delete(&mut self, key: u64) -> usize {
         let b = self.recipe.bucket_of(key, self.buckets.len() as u64) as usize;
         if self.buckets[b].count == 0 {
             return 0;
         }
-        let stamp = self.domain.current();
         let mut removed = 0usize;
         // Pass 1: unlink matching overflow nodes (the header is handled
         // after, so a promoted node is guaranteed not to match).
@@ -182,7 +160,7 @@ impl HashIndex {
                     Some(p) => self.nodes[p as usize].next = node.next,
                     None => self.buckets[b].next = node.next,
                 }
-                self.retire.retire(cur, stamp, &self.domain);
+                self.free.push(cur);
                 removed += 1;
             } else {
                 prev = Some(cur);
@@ -196,12 +174,12 @@ impl HashIndex {
                 // Bucket drains completely below.
             } else {
                 // Promote the first surviving overflow node into the
-                // header and retire its pool slot.
+                // header and free its pool slot.
                 let node = self.nodes[first as usize];
                 self.buckets[b].key = node.key;
                 self.buckets[b].payload = node.payload;
                 self.buckets[b].next = node.next;
-                self.retire.retire(first, stamp, &self.domain);
+                self.free.push(first);
             }
             removed += 1;
         }
@@ -225,22 +203,10 @@ impl HashIndex {
         true
     }
 
-    /// Moves every retired pool slot whose epoch stamp is older than
-    /// all pinned epochs to the free list; returns how many moved.
-    pub fn reclaim(&mut self) -> usize {
-        self.retire.reclaim(&self.domain)
-    }
-
-    /// Pool slots retired and not yet reclaimed.
-    #[must_use]
-    pub fn retired_nodes(&self) -> usize {
-        self.retire.retired_len()
-    }
-
-    /// Pool slots reclaimed and ready for reuse.
+    /// Pool slots freed by deletes and ready for reuse.
     #[must_use]
     pub fn free_nodes(&self) -> usize {
-        self.retire.free_len()
+        self.free.len()
     }
 
     /// The hash recipe used for key placement.
@@ -483,7 +449,8 @@ mod tests {
         assert_eq!(idx.lookup(9), Some(4));
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.delete(7), 0, "second delete is a miss");
-        assert!(idx.retired_nodes() + idx.free_nodes() > 0);
+        assert!(idx.free_nodes() > 0);
+        assert_pool_accounted(&idx);
     }
 
     #[test]
@@ -512,39 +479,26 @@ mod tests {
         assert_eq!(idx.len(), 2);
     }
 
-    #[test]
-    fn retired_slots_reused_only_after_reclaim() {
-        let mut idx = HashIndex::build(HashRecipe::robust64(), 1, (0..8u64).map(|k| (k, k)));
-        let pool = idx.nodes().len();
-        assert_eq!(idx.delete(3), 1);
-        // No reclaim yet: the retired slot must not be reused.
-        idx.insert(100, 100);
-        assert_eq!(idx.nodes().len(), pool + 1, "grew instead of reusing");
-        // The stamp was taken at the current epoch, which is never safe;
-        // one advance makes a quiescent domain reclaim it.
-        idx.domain().advance();
-        assert_eq!(idx.reclaim(), 1, "quiescent domain reclaims after advance");
-        idx.insert(101, 101);
-        assert_eq!(idx.nodes().len(), pool + 1, "reused the reclaimed slot");
-        for k in (0..8u64).filter(|k| *k != 3).chain([100, 101]) {
-            assert_eq!(idx.lookup(k), Some(k), "key {k}");
-        }
+    /// Pool slots in use must equal the entries not held inline in a
+    /// bucket header; a leaked or double-freed slot breaks the equality.
+    fn assert_pool_accounted(idx: &HashIndex) {
+        let occupied = idx.buckets().iter().filter(|b| b.count > 0).count();
+        assert_eq!(idx.nodes().len() - idx.free_nodes(), idx.len() - occupied);
     }
 
     #[test]
-    fn pinned_epoch_blocks_reuse() {
-        let mut idx = HashIndex::build(HashRecipe::robust64(), 1, (0..4u64).map(|k| (k, k)));
-        let domain = idx.domain().clone();
-        let worker = domain.register();
-        let pin = worker.pin();
-        idx.delete(2);
-        assert_eq!(idx.reclaim(), 0, "pin predates the retirement");
-        assert_eq!(idx.retired_nodes(), 1);
-        drop(pin);
-        domain.advance();
-        assert_eq!(idx.reclaim(), 1);
-        assert_eq!(idx.retired_nodes(), 0);
-        assert_eq!(domain.reclaimed(), 1);
+    fn delete_then_insert_reuses_the_freed_slot() {
+        let mut idx = HashIndex::build(HashRecipe::robust64(), 1, (0..8u64).map(|k| (k, k)));
+        let pool = idx.nodes().len();
+        assert_eq!(idx.delete(3), 1);
+        assert_eq!(idx.free_nodes(), 1);
+        idx.insert(100, 100);
+        assert_eq!(idx.nodes().len(), pool, "reused the freed slot");
+        assert_eq!(idx.free_nodes(), 0);
+        assert_pool_accounted(&idx);
+        for k in (0..8u64).filter(|k| *k != 3).chain([100]) {
+            assert_eq!(idx.lookup(k), Some(k), "key {k}");
+        }
     }
 
     #[test]
@@ -583,9 +537,7 @@ mod tests {
                     }
                 }
             }
-            if step % 512 == 0 {
-                idx.reclaim();
-            }
+            assert_pool_accounted(&idx);
         }
         for key in 0..64u64 {
             let mut got = idx.lookup_all(key);

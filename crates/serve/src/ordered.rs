@@ -21,14 +21,12 @@
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use widx_db::epoch::EpochDomain;
 use widx_db::index::{build_range_sharded, BTreeIndex};
 
 /// A B+-tree index range-partitioned into independent shards, one per
 /// serving worker. Scans route by boundary-key span; builds split the
 /// sorted entry stream into roughly equal contiguous chunks (duplicates
-/// of one key never straddle a boundary). Every shard retires replaced
-/// nodes into the same [`EpochDomain`].
+/// of one key never straddle a boundary).
 pub struct OrderedShardedIndex {
     shards: Vec<RwLock<BTreeIndex>>,
     /// `shards - 1` non-decreasing boundary keys; shard `i` owns keys
@@ -43,17 +41,15 @@ pub struct OrderedShardedIndex {
 
 impl OrderedShardedIndex {
     /// Partitions `pairs` into `shards` contiguous key ranges and
-    /// builds one B+-tree of the given `fanout` per range, all retiring
-    /// into `domain`.
+    /// builds one B+-tree of the given `fanout` per range.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero or `fanout < 2`.
     #[must_use]
-    pub fn build(
+    pub fn from_pairs(
         fanout: usize,
         shards: usize,
-        domain: &Arc<EpochDomain>,
         pairs: impl IntoIterator<Item = (u64, u64)>,
     ) -> OrderedShardedIndex {
         let (built, boundaries) = build_range_sharded(fanout, shards, pairs);
@@ -68,16 +64,27 @@ impl OrderedShardedIndex {
             max_key_home -= 1;
         }
         OrderedShardedIndex {
-            shards: built
-                .into_iter()
-                .map(|mut t| {
-                    t.set_domain(Arc::clone(domain));
-                    RwLock::new(t)
-                })
-                .collect(),
+            shards: built.into_iter().map(RwLock::new).collect(),
             boundaries,
             max_key_home,
         }
+    }
+
+    /// [`from_pairs`](Self::from_pairs) with an ignored `_domain`
+    /// argument, kept so `perfbench` still builds; the next benchmark
+    /// change removes it.
+    ///
+    /// # Panics
+    ///
+    /// As [`from_pairs`](Self::from_pairs).
+    #[must_use]
+    pub fn build(
+        fanout: usize,
+        shards: usize,
+        _domain: &Arc<widx_db::epoch::EpochDomain>,
+        pairs: impl IntoIterator<Item = (u64, u64)>,
+    ) -> OrderedShardedIndex {
+        OrderedShardedIndex::from_pairs(fanout, shards, pairs)
     }
 
     /// Number of shards.
@@ -219,12 +226,7 @@ mod tests {
     use super::*;
 
     fn ordered(shards: usize, entries: u64) -> OrderedShardedIndex {
-        OrderedShardedIndex::build(
-            8,
-            shards,
-            &EpochDomain::new(),
-            (0..entries).map(|k| (k * 2, k)),
-        )
+        OrderedShardedIndex::from_pairs(8, shards, (0..entries).map(|k| (k * 2, k)))
     }
 
     #[test]
@@ -308,7 +310,7 @@ mod tests {
         assert!(idx.boundaries().is_empty());
         assert_eq!(idx.scan(0, 300, usize::MAX).len(), 100);
 
-        let empty = OrderedShardedIndex::build(4, 3, &EpochDomain::new(), std::iter::empty());
+        let empty = OrderedShardedIndex::from_pairs(4, 3, std::iter::empty());
         assert!(empty.is_empty());
         assert_eq!(empty.scan(0, u64::MAX, usize::MAX), vec![]);
     }
@@ -317,7 +319,7 @@ mod tests {
     fn duplicates_stay_colocated_and_ordered() {
         let mut pairs: Vec<(u64, u64)> = (0..100u64).map(|k| (k, 0)).collect();
         pairs.extend((0..50u64).map(|p| (40, p + 1)));
-        let idx = OrderedShardedIndex::build(4, 4, &EpochDomain::new(), pairs);
+        let idx = OrderedShardedIndex::from_pairs(4, 4, pairs);
         let dups: Vec<u64> = idx
             .scan(40, 40, usize::MAX)
             .into_iter()
@@ -339,12 +341,7 @@ mod tests {
         // Data ending at u64::MAX with empty trailing shards: the
         // saturated boundary equals the key, which must still route to
         // the shard holding it — for reads, writes, and scans.
-        let idx = OrderedShardedIndex::build(
-            4,
-            3,
-            &EpochDomain::new(),
-            [(u64::MAX, 7u64), (u64::MAX, 8)],
-        );
+        let idx = OrderedShardedIndex::from_pairs(4, 3, [(u64::MAX, 7u64), (u64::MAX, 8)]);
         let owner = idx.shard_of(u64::MAX);
         assert!(
             idx.read(owner).lookup(u64::MAX).is_some(),

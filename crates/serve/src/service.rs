@@ -5,7 +5,6 @@ use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use widx_db::epoch::EpochDomain;
 use widx_db::hash::HashRecipe;
 use widx_obs::{
     ActiveTrace, FlightRecorder, HistogramSnapshot, ProfCell, ProfSnapshot, StageTimes, TraceStage,
@@ -254,10 +253,6 @@ pub struct ProbeService {
     /// The shared stage-timing seam (queue-wait / batch-wait / walk /
     /// write / gather / reply-write).
     stages: Arc<StageTimes>,
-    /// The service-wide epoch-reclamation domain: every shard (both
-    /// tiers) retires into it, every worker registers with it, and its
-    /// retired/reclaimed gauges surface as `widx_epoch_*` metrics.
-    domain: Arc<EpochDomain>,
     /// The per-request trace ring; always present, only written when
     /// the sampling knobs arm traces.
     recorder: Arc<FlightRecorder>,
@@ -293,12 +288,11 @@ impl ProbeService {
         pairs: impl IntoIterator<Item = (u64, u64)>,
         config: &ServeConfig,
     ) -> ProbeService {
-        let sharded = ShardedIndex::build(
+        let sharded = ShardedIndex::from_pairs(
             recipe,
             config.shards,
             config.min_buckets,
             config.load,
-            &EpochDomain::new(),
             pairs,
         );
         ProbeService::start(sharded, config)
@@ -321,16 +315,14 @@ impl ProbeService {
         config: &ServeConfig,
     ) -> ProbeService {
         let pairs: Vec<(u64, u64)> = pairs.into_iter().collect();
-        let domain = EpochDomain::new();
-        let sharded = ShardedIndex::build(
+        let sharded = ShardedIndex::from_pairs(
             recipe,
             config.shards,
             config.min_buckets,
             config.load,
-            &domain,
             pairs.iter().copied(),
         );
-        let ordered = OrderedShardedIndex::build(config.fanout, config.shards, &domain, pairs);
+        let ordered = OrderedShardedIndex::from_pairs(config.fanout, config.shards, pairs);
         ProbeService::start_with_ordered(sharded, ordered, config)
     }
 
@@ -371,20 +363,6 @@ impl ProbeService {
         assert!(config.inflight > 0, "need at least one in-flight probe");
         assert!(config.stream_chunk > 0, "need a positive stream chunk");
         let policy = BatchPolicy::new(config.batch_size, config.batch_deadline);
-        // Re-home every shard onto one service-owned domain, whatever
-        // domain(s) the tiers were built against: workers advance and
-        // reclaim against *this* domain, so a foreign domain would
-        // strand retired nodes. Freshly built tiers have retired
-        // nothing, so re-homing is a pure pointer swap.
-        let domain = EpochDomain::new();
-        for shard in 0..sharded.shard_count() {
-            sharded.write(shard).set_domain(Arc::clone(&domain));
-        }
-        if let Some(ordered) = &ordered {
-            for shard in 0..ordered.shard_count() {
-                ordered.write(shard).set_domain(Arc::clone(&domain));
-            }
-        }
         let sharded = Arc::new(sharded);
         let stages = Arc::new(StageTimes::new());
         let queues: Vec<Arc<ShardQueue>> = (0..sharded.shard_count())
@@ -414,7 +392,6 @@ impl ProbeService {
                     cell: Arc::clone(&cells[shard]),
                     stages: Arc::clone(&stages),
                     prof: prof_cells.get(shard).cloned(),
-                    domain: Arc::clone(&domain),
                 };
                 std::thread::Builder::new()
                     .name(format!("widx-serve-{shard}"))
@@ -449,7 +426,6 @@ impl ProbeService {
                         cell: Arc::clone(&range_cells[shard]),
                         stages: Arc::clone(&stages),
                         prof: range_prof_cells.get(shard).cloned(),
-                        domain: Arc::clone(&domain),
                     };
                     std::thread::Builder::new()
                         .name(format!("widx-range-{shard}"))
@@ -470,7 +446,6 @@ impl ProbeService {
             prof_cells,
             range_prof_cells,
             stages,
-            domain,
             recorder: Arc::new(FlightRecorder::new(config.trace_capacity)),
             trace_seq: AtomicU64::new(0),
             trace_sample: config.trace_sample,
@@ -491,13 +466,6 @@ impl ProbeService {
     #[must_use]
     pub fn ordered(&self) -> Option<&OrderedShardedIndex> {
         self.ordered.as_deref()
-    }
-
-    /// The service-wide epoch-reclamation domain (both tiers retire
-    /// into it; its gauges back the `widx_epoch_*` metrics).
-    #[must_use]
-    pub fn epoch_domain(&self) -> Arc<EpochDomain> {
-        Arc::clone(&self.domain)
     }
 
     /// Keys currently queued per shard (backlog snapshot).
@@ -1247,8 +1215,6 @@ impl ProbeService {
             net: crate::stats::NetStats::default(),
             trace: self.recorder.stats(),
             prof: self.prof_snapshot(),
-            epoch_retired: self.domain.retired(),
-            epoch_reclaimed: self.domain.reclaimed(),
             wall: self.started.elapsed(),
         }
     }
@@ -1304,19 +1270,6 @@ impl ProbeService {
         for handle in self.workers.drain(..).chain(self.range_workers.drain(..)) {
             if handle.join().is_err() {
                 panicked += 1;
-            }
-        }
-        // Every worker has halted, so no epoch pins remain: one final
-        // advance makes every outstanding retirement safe, and a sweep
-        // over both tiers drains the retire lists — the final snapshot
-        // reports `epoch_retired == 0` whenever writes ever happened.
-        self.domain.advance();
-        for shard in 0..self.sharded.shard_count() {
-            let _ = self.sharded.write(shard).reclaim();
-        }
-        if let Some(ordered) = &self.ordered {
-            for shard in 0..ordered.shard_count() {
-                let _ = ordered.write(shard).reclaim();
             }
         }
         let result = (self.snapshot_stats(), panicked);
@@ -1739,7 +1692,6 @@ mod tests {
         let stats = s.shutdown();
         assert_eq!(stats.total_write_ops(), 8);
         assert_eq!(stats.total_write_applied(), 6, "two misses unacked");
-        assert_eq!(stats.epoch_retired, 0, "final sweep drained retirements");
     }
 
     #[test]
@@ -1767,7 +1719,6 @@ mod tests {
             stats.range_workers.iter().map(|w| w.write_ops).sum::<u64>() > 0,
             "ordered-tier workers applied writes"
         );
-        assert_eq!(stats.epoch_retired, 0);
     }
 
     #[test]
@@ -1877,9 +1828,5 @@ mod tests {
             assert_eq!(live_w.write_applied, final_w.write_applied);
             assert_eq!(live_w.write_batches, final_w.write_batches);
         }
-        // Churn retired nodes; the final sweep reclaimed every one.
-        assert!(stats.epoch_reclaimed > 0, "churn retired index nodes");
-        assert_eq!(stats.epoch_retired, 0, "quiescence drains the lists");
-        assert!(stats.epoch_reclaimed >= live.epoch_reclaimed);
     }
 }

@@ -12,14 +12,12 @@
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use widx_db::epoch::EpochDomain;
 use widx_db::hash::HashRecipe;
 use widx_db::index::{build_sharded, HashIndex, IndexStats};
 
 /// A hash index partitioned into independent shards, one per serving
 /// worker. Probes route by `recipe.shard_of(key, shards)`; builds size
-/// each shard's bucket array for its own entry count. Every shard
-/// retires replaced nodes into the same [`EpochDomain`].
+/// each shard's bucket array for its own entry count.
 pub struct ShardedIndex {
     recipe: HashRecipe,
     shards: Vec<RwLock<HashIndex>>,
@@ -27,33 +25,44 @@ pub struct ShardedIndex {
 
 impl ShardedIndex {
     /// Partitions `pairs` into `shards` indexes, each sized for ~`load`
-    /// entries per bucket with at least `min_buckets` buckets, all
-    /// retiring into `domain`.
+    /// entries per bucket with at least `min_buckets` buckets.
     ///
     /// # Panics
     ///
     /// Panics if `shards` or `min_buckets` is zero, or `load` is not
     /// positive.
     #[must_use]
-    pub fn build(
+    pub fn from_pairs(
         recipe: HashRecipe,
         shards: usize,
         min_buckets: usize,
         load: f64,
-        domain: &Arc<EpochDomain>,
         pairs: impl IntoIterator<Item = (u64, u64)>,
     ) -> ShardedIndex {
         let built = build_sharded(&recipe, shards, min_buckets, load, pairs);
         ShardedIndex {
             recipe,
-            shards: built
-                .into_iter()
-                .map(|mut s| {
-                    s.set_domain(Arc::clone(domain));
-                    RwLock::new(s)
-                })
-                .collect(),
+            shards: built.into_iter().map(RwLock::new).collect(),
         }
+    }
+
+    /// [`from_pairs`](Self::from_pairs) with an ignored `_domain`
+    /// argument, kept so `perfbench` still builds; the next benchmark
+    /// change removes it.
+    ///
+    /// # Panics
+    ///
+    /// As [`from_pairs`](Self::from_pairs).
+    #[must_use]
+    pub fn build(
+        recipe: HashRecipe,
+        shards: usize,
+        min_buckets: usize,
+        load: f64,
+        _domain: &Arc<widx_db::epoch::EpochDomain>,
+        pairs: impl IntoIterator<Item = (u64, u64)>,
+    ) -> ShardedIndex {
+        ShardedIndex::from_pairs(recipe, shards, min_buckets, load, pairs)
     }
 
     /// Number of shards.
@@ -128,12 +137,11 @@ mod tests {
     use super::*;
 
     fn sharded(shards: usize, entries: u64) -> ShardedIndex {
-        ShardedIndex::build(
+        ShardedIndex::from_pairs(
             HashRecipe::robust64(),
             shards,
             8,
             1.0,
-            &EpochDomain::new(),
             (0..entries).map(|k| (k, k + 1000)),
         )
     }
@@ -172,14 +180,7 @@ mod tests {
     #[test]
     fn duplicates_stay_colocated() {
         let pairs = vec![(7u64, 1u64), (7, 2), (7, 3), (9, 4)];
-        let idx = ShardedIndex::build(
-            HashRecipe::robust64(),
-            3,
-            4,
-            1.0,
-            &EpochDomain::new(),
-            pairs,
-        );
+        let idx = ShardedIndex::from_pairs(HashRecipe::robust64(), 3, 4, 1.0, pairs);
         let mut got = idx.lookup_all(7);
         got.sort_unstable();
         assert_eq!(got, vec![1, 2, 3]);
@@ -195,14 +196,7 @@ mod tests {
 
     #[test]
     fn empty_build() {
-        let idx = ShardedIndex::build(
-            HashRecipe::robust64(),
-            2,
-            4,
-            1.0,
-            &EpochDomain::new(),
-            std::iter::empty(),
-        );
+        let idx = ShardedIndex::from_pairs(HashRecipe::robust64(), 2, 4, 1.0, std::iter::empty());
         assert!(idx.is_empty());
         assert_eq!(idx.lookup_all(5), Vec::<u64>::new());
     }

@@ -322,14 +322,6 @@ pub struct ServiceStats {
     /// `None` unless the service was built with
     /// `ServeConfig::with_profile(true)`.
     pub prof: Option<ProfSnapshot>,
-    /// Epoch-reclamation gauge: nodes retired by mutations over the
-    /// service's lifetime (superseded bucket arrays, split/merged
-    /// leaves) awaiting a safe epoch.
-    pub epoch_retired: u64,
-    /// Epoch-reclamation gauge: retired nodes actually freed once no
-    /// walker could still hold a reference. At quiescence this equals
-    /// [`ServiceStats::epoch_retired`].
-    pub epoch_reclaimed: u64,
     /// Wall-clock time from service start to this snapshot.
     pub wall: Duration,
 }
@@ -435,8 +427,7 @@ impl ServiceStats {
              \"version\": \"{}\", \"total_keys\": {}, \"total_matches\": {}, \
              \"total_scan_cursors\": {}, \"total_scan_entries\": {}, \
              \"total_write_ops\": {}, \"total_write_applied\": {}, \
-             \"total_write_batches\": {}, \"epoch_retired\": {}, \
-             \"epoch_reclaimed\": {},",
+             \"total_write_batches\": {},",
             self.wall.as_secs_f64() * 1e3,
             self.wall.as_secs_f64() * 1e3,
             host_cpus,
@@ -447,9 +438,7 @@ impl ServiceStats {
             self.total_scan_entries(),
             self.total_write_ops(),
             self.total_write_applied(),
-            self.total_write_batches(),
-            self.epoch_retired,
-            self.epoch_reclaimed
+            self.total_write_batches()
         ));
         out.push_str(&format!(
             " \"trace\": {{\"capacity\": {}, \"depth\": {}, \"recorded\": {}, \
@@ -583,22 +572,6 @@ impl ServiceStats {
                 p.sample_u64("widx_write_applied_total", &labels, w.write_applied);
                 p.sample_u64("widx_write_batches_total", &labels, w.write_batches);
             }
-        }
-        for (name, help, value) in [
-            (
-                "widx_epoch_retired",
-                "Nodes retired by mutations, awaiting a safe epoch.",
-                self.epoch_retired,
-            ),
-            (
-                "widx_epoch_reclaimed",
-                "Retired nodes freed after every walker moved past them.",
-                self.epoch_reclaimed,
-            ),
-        ] {
-            p.help(name, help)
-                .type_(name, "gauge")
-                .sample_u64(name, &[], value);
         }
         p.help(
             "widx_request_latency_ns",
@@ -973,8 +946,6 @@ mod tests {
             net: NetStats::default(),
             trace: RecorderStats::default(),
             prof: None,
-            epoch_retired: 7,
-            epoch_reclaimed: 7,
             wall: Duration::from_secs(2),
         };
         assert_eq!(stats.total_keys(), 100);
@@ -1000,8 +971,6 @@ mod tests {
             widx_obs::json::find_u64(&json, "total_write_applied"),
             Some(17)
         );
-        assert_eq!(widx_obs::json::find_u64(&json, "epoch_retired"), Some(7));
-        assert_eq!(widx_obs::json::find_u64(&json, "epoch_reclaimed"), Some(7));
         assert!(
             widx_obs::json::find_u64(&json, "host_cpus").is_some_and(|n| n >= 1),
             "host_cpus should report at least one CPU"
@@ -1020,8 +989,6 @@ mod tests {
         assert!(prom.contains("widx_write_ops_total{tier=\"point\",shard=\"0\"} 12"));
         assert!(prom.contains("widx_write_applied_total{tier=\"point\",shard=\"0\"} 9"));
         assert!(prom.contains("widx_write_batches_total{tier=\"range\",shard=\"0\"} 0"));
-        assert!(prom.contains("widx_epoch_retired 7"));
-        assert!(prom.contains("widx_epoch_reclaimed 7"));
         assert!(prom.contains("widx_stage_ns_count{stage=\"write\"} 0"));
         assert!(prom.contains("# TYPE widx_request_latency_ns summary"));
         assert!(prom.contains("widx_stage_ns_count{stage=\"walk\"} 0"));
@@ -1074,8 +1041,6 @@ mod tests {
             net: NetStats::default(),
             trace: RecorderStats::default(),
             prof: Some(prof),
-            epoch_retired: 0,
-            epoch_reclaimed: 0,
             wall: Duration::from_secs(1),
         };
 
@@ -1144,8 +1109,6 @@ mod tests {
             },
             trace: RecorderStats::default(),
             prof: None,
-            epoch_retired: 0,
-            epoch_reclaimed: 0,
             wall: Duration::from_secs(1),
         };
         let json = stats.to_json();

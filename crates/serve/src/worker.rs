@@ -13,22 +13,20 @@
 //! [`StageTimes`] seam) as batches complete, so a live scrape sees the
 //! same numbers a shutdown join would.
 //!
-//! # Writes and epochs
+//! # Writes
 //!
 //! The serving tier is mutable: each worker is the *sole writer* for
-//! its shard. Walker batches run under the shard's read guard with an
-//! epoch pinned; [`Job::Write`] batches are applied under the write
-//! guard at batch barriers (never mid-batch), then the worker advances
-//! the epoch and reclaims nodes the mutations retired. The shard lock
+//! its shard. Walker batches run under the shard's read guard;
+//! [`Job::Write`] batches are applied under the write guard at batch
+//! barriers (never mid-batch). The walker is built per batch and
+//! borrows the read guard, so no traversal state survives into a
+//! barrier: the indexes free unlinked nodes on the spot. The shard lock
 //! is structurally uncontended — its job is memory-model visibility,
-//! not writer arbitration — and the epoch pin is what keeps resumable
-//! cursor state (leaf hints held *across* batches by the soft tier)
-//! safe to validate against retired-but-unreclaimed nodes.
+//! not writer arbitration.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use widx_db::epoch::EpochDomain;
 use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, TraceStage, WorkerCell};
 use widx_soft::{AmacWalker, BTreeRangeWalker, ScanRange};
 
@@ -53,9 +51,6 @@ pub(crate) struct WorkerContext {
     /// worker opens a per-thread counter group and publishes stage
     /// windows here.
     pub(crate) prof: Option<Arc<ProfCell>>,
-    /// The service-wide reclamation domain: pinned per walker batch,
-    /// advanced (and reclaimed against) after write barriers.
-    pub(crate) domain: Arc<EpochDomain>,
 }
 
 /// Everything a range-scan worker thread needs.
@@ -73,8 +68,6 @@ pub(crate) struct RangeWorkerContext {
     pub(crate) stages: Arc<StageTimes>,
     /// Hardware-profiling cell, when the service enabled profiling.
     pub(crate) prof: Option<Arc<ProfCell>>,
-    /// The service-wide reclamation domain (see [`WorkerContext`]).
-    pub(crate) domain: Arc<EpochDomain>,
 }
 
 /// A write part stashed mid-batch, applied at the next batch barrier.
@@ -85,11 +78,10 @@ pub(crate) struct WriteJob {
 }
 
 /// Anything a write barrier can mutate: both index flavours expose the
-/// same insert/delete/update/reclaim surface, so one barrier routine
-/// serves both worker kinds.
+/// same insert/delete/update surface, so one barrier routine serves
+/// both worker kinds.
 trait WriteTarget {
     fn apply(&mut self, op: WriteOp) -> bool;
-    fn reclaim_retired(&mut self) -> usize;
 }
 
 impl WriteTarget for widx_db::index::HashIndex {
@@ -102,10 +94,6 @@ impl WriteTarget for widx_db::index::HashIndex {
             WriteOp::Delete { key } => self.delete(key) > 0,
             WriteOp::Update { key, payload } => self.update(key, payload),
         }
-    }
-
-    fn reclaim_retired(&mut self) -> usize {
-        self.reclaim()
     }
 }
 
@@ -120,25 +108,17 @@ impl WriteTarget for widx_db::index::BTreeIndex {
             WriteOp::Update { key, payload } => self.update(key, payload),
         }
     }
-
-    fn reclaim_retired(&mut self) -> usize {
-        self.reclaim()
-    }
 }
 
 /// Applies stashed write parts under the caller's write guard — the
 /// batch barrier. Per part: apply every op, publish the write counters
 /// *before* completing the part (a caller whose `wait()` returned must
 /// find the write counted by a `live_stats()` scrape), ack `(op, key,
-/// applied)` rows when this tier is authoritative. Then advance the
-/// epoch and reclaim — the nodes these mutations retired become safe
-/// one advance later, so a quiescent service always drains its retired
-/// list on the final barrier.
+/// applied)` rows when this tier is authoritative.
 fn apply_write_barrier<T: WriteTarget>(
     shard: usize,
     target: &mut T,
     jobs: Vec<WriteJob>,
-    domain: &EpochDomain,
     cell: &WorkerCell,
     stages: &StageTimes,
     prof: &mut ThreadProfiler,
@@ -176,12 +156,6 @@ fn apply_write_barrier<T: WriteTarget>(
         }
         job.reply.complete_part(&items, Some(cell));
     }
-    // The barrier's mutations retired nodes at the *current* epoch;
-    // advance so they stamp strictly below every future pin, then
-    // reclaim whatever is already safe (pinned cursors elsewhere keep
-    // their epoch's garbage alive until they unpin).
-    domain.advance();
-    let _ = target.reclaim_retired();
     cell.add_busy(barrier_from.elapsed());
     prof.record(Stage::Write, mark);
 }
@@ -267,7 +241,6 @@ fn attribute_scan(
 /// everything.
 pub(crate) fn run_worker(ctx: &WorkerContext) {
     let mut prof = attach_profiler(&ctx.prof);
-    let epoch = ctx.domain.register();
 
     loop {
         // Wait (idle) for the batch-opening job. The profiling window
@@ -294,7 +267,6 @@ pub(crate) fn run_worker(ctx: &WorkerContext) {
                     ctx.shard,
                     &mut *guard,
                     jobs,
-                    &ctx.domain,
                     &ctx.cell,
                     &ctx.stages,
                     &mut prof,
@@ -307,13 +279,12 @@ pub(crate) fn run_worker(ctx: &WorkerContext) {
             }
         };
 
-        // Walker batch: pin an epoch and hold the shard's read guard
-        // for the batch's whole lifetime, so nothing mutates (or
-        // reclaims) under the in-flight AMAC ring. The walker is
-        // rebuilt per batch — it borrows the guard.
+        // Walker batch: hold the shard's read guard for the batch's
+        // whole lifetime, so nothing mutates (or frees a node) under
+        // the in-flight AMAC ring. The walker is rebuilt per batch — it
+        // borrows the guard.
         let mut writes: Vec<WriteJob> = Vec::new();
         let shutdown = {
-            let _pin = epoch.pin();
             let guard = ctx.sharded.read(ctx.shard);
             let mut walker = AmacWalker::new(&guard, ctx.inflight);
             run_batch(
@@ -338,7 +309,6 @@ pub(crate) fn run_worker(ctx: &WorkerContext) {
                 ctx.shard,
                 &mut *guard,
                 writes,
-                &ctx.domain,
                 &ctx.cell,
                 &ctx.stages,
                 &mut prof,
@@ -488,7 +458,6 @@ fn run_batch(
 /// over this worker's ordered shard.
 pub(crate) fn run_range_worker(ctx: &RangeWorkerContext) {
     let mut prof = attach_profiler(&ctx.prof);
-    let epoch = ctx.domain.register();
 
     loop {
         let idle_from = Instant::now();
@@ -507,7 +476,6 @@ pub(crate) fn run_range_worker(ctx: &RangeWorkerContext) {
                     ctx.shard,
                     &mut *guard,
                     jobs,
-                    &ctx.domain,
                     &ctx.cell,
                     &ctx.stages,
                     &mut prof,
@@ -522,7 +490,6 @@ pub(crate) fn run_range_worker(ctx: &RangeWorkerContext) {
 
         let mut writes: Vec<WriteJob> = Vec::new();
         let shutdown = {
-            let _pin = epoch.pin();
             let guard = ctx.ordered.read(ctx.shard);
             let mut walker = BTreeRangeWalker::new(&guard, ctx.inflight);
             run_range_batch(
@@ -545,7 +512,6 @@ pub(crate) fn run_range_worker(ctx: &RangeWorkerContext) {
                 ctx.shard,
                 &mut *guard,
                 writes,
-                &ctx.domain,
                 &ctx.cell,
                 &ctx.stages,
                 &mut prof,

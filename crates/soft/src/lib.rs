@@ -60,7 +60,6 @@ mod amac;
 mod btree_walker;
 mod group;
 pub mod prefetch;
-mod resume;
 mod scalar;
 
 pub use amac::{probe_amac, AmacWalker};
@@ -68,7 +67,6 @@ pub use btree_walker::{
     scan_btree_amac, scan_btree_group, scan_btree_scalar, BTreeRangeWalker, ScanRange,
 };
 pub use group::probe_group_prefetch;
-pub use resume::ResumableScan;
 pub use scalar::probe_scalar;
 // Walker-level MLP evidence both resumable walkers accumulate; defined in
 // dependency-free `widx-obs` so the trace subsystem shares the shape.

@@ -1,8 +1,8 @@
 //! Property tests for the walker engines over *mutating* indexes: after
-//! arbitrary rounds of interleaved inserts, deletes, and updates — with
-//! epoch advances and reclamation between rounds so retired slots get
-//! reused — all three hash-probe engines and all three B+-tree scan
-//! engines must answer exactly like a serial mutable oracle.
+//! arbitrary rounds of interleaved inserts, deletes, and updates — which
+//! free node slots and reuse them in later inserts and splits — all
+//! three hash-probe engines and all three B+-tree scan engines must
+//! answer exactly like a serial mutable oracle.
 //!
 //! This is the soft-tier half of the online-writes guarantee: the
 //! frozen-build equivalence suite (`proptest_equivalence`,
@@ -55,8 +55,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Scalar, AMAC, and group-prefetch probes agree with a mutable
-    /// `HashMap` oracle across mutation rounds, including after epoch
-    /// reclamation has recycled pool slots into fresh inserts.
+    /// `HashMap` oracle across mutation rounds, including after deletes
+    /// have freed pool slots that later inserts reuse.
     #[test]
     fn hash_engines_track_mutations(
         seed_pairs in prop::collection::vec((0u64..80, any::<u64>()), 0..150),
@@ -106,11 +106,15 @@ proptest! {
             prop_assert_eq!(&amac, &expected);
             prop_assert_eq!(&gp, &expected);
 
-            // Recycle retired slots so later rounds insert into reused
-            // pool nodes — the unpinned fast path.
-            index.domain().advance();
-            index.reclaim();
-            prop_assert_eq!(index.retired_nodes(), 0, "no pins: reclaim drains");
+            // Every pool slot is either on the free list or holds an
+            // entry not stored inline in a bucket header, so a leaked or
+            // double-freed slot breaks the equality.
+            let occupied = index.buckets().iter().filter(|b| b.count > 0).count();
+            prop_assert_eq!(
+                index.nodes().len() - index.free_nodes(),
+                index.len() - occupied,
+                "pool slots accounted for"
+            );
         }
         prop_assert_eq!(
             index.len(),
@@ -216,9 +220,6 @@ proptest! {
             prop_assert_eq!(&scalar, &expected);
             prop_assert_eq!(&amac, &expected);
             prop_assert_eq!(&gp, &expected);
-
-            tree.domain().advance();
-            tree.reclaim();
         }
         prop_assert_eq!(
             tree.len(),
