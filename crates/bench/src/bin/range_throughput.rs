@@ -5,7 +5,7 @@
 //! Four client threads pipeline `RangeScan` requests against a service
 //! built with `build_with_range`; per-run output reports wall-clock
 //! scan and entry throughput, request-latency percentiles, and
-//! per-range-worker occupancy/batch shape. With `--json PATH`, the full
+//! per-worker occupancy/batch shape. With `--json PATH`, the full
 //! sweep (including per-worker rows) is written as JSON for trend
 //! tracking (`BENCH_range.json` keeps the committed baseline).
 //!
@@ -172,16 +172,16 @@ fn render_json(args: &Args, runs: &[Run]) -> String {
              \"p95\": {}, \"p99\": {}, \"max\": {}}}, ",
             lat.count, lat.mean_ns, lat.p50_ns, lat.p95_ns, lat.p99_ns, lat.max_ns
         );
-        out.push_str("\"range_workers\": [");
-        for (j, w) in run.stats.range_workers.iter().enumerate() {
+        out.push_str("\"workers\": [");
+        for (j, w) in run.stats.workers.iter().enumerate() {
             let _ = write!(
                 out,
-                "{{\"shard\": {}, \"cursors\": {}, \"entries\": {}, \"batches\": {}, \
+                "{{\"shard\": {}, \"scan_cursors\": {}, \"scan_entries\": {}, \"batches\": {}, \
                  \"mean_batch\": {:.2}, \"size_flushes\": {}, \"deadline_flushes\": {}, \
                  \"occupancy\": {:.4}, \"busy_cursors_per_sec\": {:.0}}}",
                 w.shard,
-                w.keys,
-                w.matches,
+                w.scan_cursors,
+                w.scan_entries,
                 w.batches,
                 w.mean_batch(),
                 w.size_flushes,
@@ -189,7 +189,7 @@ fn render_json(args: &Args, runs: &[Run]) -> String {
                 w.occupancy(),
                 w.busy_throughput(),
             );
-            if j + 1 < run.stats.range_workers.len() {
+            if j + 1 < run.stats.workers.len() {
                 out.push_str(", ");
             }
         }
@@ -243,18 +243,18 @@ fn main() {
                 let run = run_once(&pairs, &ranges, shards, inflight, batch_size, args.limit);
                 let occ = run
                     .stats
-                    .range_workers
+                    .workers
                     .iter()
                     .map(widx_serve::WorkerStats::occupancy)
                     .sum::<f64>()
-                    / run.stats.range_workers.len() as f64;
+                    / run.stats.workers.len() as f64;
                 let mean_batch = run
                     .stats
-                    .range_workers
+                    .workers
                     .iter()
                     .map(widx_serve::WorkerStats::mean_batch)
                     .sum::<f64>()
-                    / run.stats.range_workers.len() as f64;
+                    / run.stats.workers.len() as f64;
                 t.row(&[
                     run.shards.to_string(),
                     run.inflight.to_string(),

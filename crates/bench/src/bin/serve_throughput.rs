@@ -29,6 +29,12 @@
 //! the mutable serving tier with write barriers on the hot path, and
 //! each run reports its write-op counters.
 //!
+//! Skew note: the service splits the key space into contiguous ranges,
+//! one per worker, and `datagen::zipf_keys` maps Zipf rank `r` to key
+//! `r`, so the hot keys are all small and land on shard 0. Multi-shard
+//! rows therefore measure a key-space-skewed load — one busy worker,
+//! the rest mostly idle — not an even spread.
+//!
 //! Usage: `serve_throughput [--shards N] [--probes N] [--entries N]
 //! [--theta T] [--req-size N] [--write-frac F] [--scrape-ms N]
 //! [--profile] [--smoke] [--json PATH]`.

@@ -182,30 +182,6 @@ impl HashRecipe {
         );
         self.eval(key) & (bucket_count - 1)
     }
-
-    /// Hashes `key` and reduces it to a shard index below `shard_count`.
-    ///
-    /// The recipe's hash is remixed with a Fibonacci multiply and the
-    /// *upper* 32 bits of the product select the shard, while
-    /// [`bucket_of`](HashRecipe::bucket_of) masks the hash's raw lower
-    /// bits — so shard and bucket selection stay effectively
-    /// independent even for recipes whose output fits in 32 bits (e.g.
-    /// [`trivial`](HashRecipe::trivial), whose raw upper word is always
-    /// zero). The multiply is fine here: shard routing runs on the
-    /// serving host, not on the multiply-free Widx units, so the ISA
-    /// constraint on recipe *steps* does not apply. Any shard count ≥ 1
-    /// is accepted (shards are thread-level, not layout-level, so there
-    /// is no power-of-two requirement).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_count` is zero.
-    #[must_use]
-    pub fn shard_of(&self, key: u64, shard_count: u64) -> u64 {
-        assert!(shard_count > 0, "need at least one shard");
-        let mixed = self.eval(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (mixed >> 32) % shard_count
-    }
 }
 
 impl fmt::Display for HashRecipe {
@@ -287,72 +263,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bucket_of_requires_power_of_two() {
         let _ = HashRecipe::trivial().bucket_of(1, 100);
-    }
-
-    #[test]
-    fn shard_of_spreads_and_stays_in_range() {
-        let h = HashRecipe::robust64();
-        for shards in [1u64, 2, 3, 4, 7, 16] {
-            let mut counts = vec![0u32; shards as usize];
-            for k in 0..8192u64 {
-                counts[h.shard_of(k, shards) as usize] += 1;
-            }
-            let mean = 8192 / shards as u32;
-            assert!(
-                counts.iter().all(|c| *c > mean / 2 && *c < mean * 2),
-                "imbalanced shards for count {shards}: {counts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_of_independent_of_bucket_of() {
-        // Keys co-located in one shard must still spread over buckets:
-        // within any shard, no single bucket of 64 captures more than a
-        // small multiple of its fair share.
-        let h = HashRecipe::robust64();
-        let shards = 4u64;
-        let buckets = 64u64;
-        let mut per_bucket = vec![vec![0u32; buckets as usize]; shards as usize];
-        let n = 32_768u64;
-        for k in 0..n {
-            let s = h.shard_of(k, shards) as usize;
-            per_bucket[s][h.bucket_of(k, buckets) as usize] += 1;
-        }
-        let fair = (n / shards / buckets) as u32;
-        for (s, counts) in per_bucket.iter().enumerate() {
-            assert!(counts.iter().all(|c| *c > 0), "empty bucket in shard {s}");
-            assert!(
-                counts.iter().all(|c| *c < fair * 3),
-                "bucket aliasing in shard {s}: max {}",
-                counts.iter().max().unwrap()
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn shard_of_rejects_zero() {
-        let _ = HashRecipe::robust64().shard_of(1, 0);
-    }
-
-    #[test]
-    fn shard_of_spreads_32bit_recipes_too() {
-        // `trivial` outputs fit in 32 bits (its upper hash word is
-        // always zero): shard selection must still use all of them
-        // rather than collapsing every key onto shard 0.
-        let h = HashRecipe::trivial();
-        for shards in [2u64, 3, 4, 8] {
-            let mut counts = vec![0u32; shards as usize];
-            for k in 0..8192u64 {
-                counts[h.shard_of(k, shards) as usize] += 1;
-            }
-            let mean = 8192 / shards as u32;
-            assert!(
-                counts.iter().all(|c| *c > mean / 2 && *c < mean * 2),
-                "trivial recipe imbalanced for {shards} shards: {counts:?}"
-            );
-        }
     }
 
     #[test]

@@ -10,4 +10,4 @@ mod shard;
 pub use btree::{BTreeExport, BTreeIndex};
 pub use hash_index::{Bucket, HashIndex, IndexStats, Node, NONE};
 pub use layout::{KeyKind, NodeLayout};
-pub use shard::{build_range_sharded, build_sharded, partition_pairs, partition_range};
+pub use shard::partition_range;

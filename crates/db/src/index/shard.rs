@@ -1,68 +1,17 @@
-//! Shard-aware build path: partition `(key, payload)` streams by
-//! [`HashRecipe::shard_of`] so each shard can build (and later serve)
-//! its own independent [`HashIndex`](crate::index::HashIndex).
+//! Shard-aware build path: split `(key, payload)` streams into
+//! contiguous key ranges so each shard can build (and later serve) its
+//! own independent indexes — a [`HashIndex`](crate::index::HashIndex)
+//! and, for ordered serving, a [`BTreeIndex`](crate::index::BTreeIndex)
+//! over the same span.
 //!
 //! This is the data-placement half of scaling the paper's design point
 //! out to a socket: one Widx front-end (dispatcher + walkers) per shard,
 //! each walking only index state it owns — no cross-shard pointers, no
 //! synchronization on the probe path.
 
-use crate::hash::HashRecipe;
-use crate::index::{BTreeIndex, HashIndex};
-
-/// Splits `pairs` into `shards` disjoint build streams using
-/// `recipe.shard_of` on the key. The concatenation of the returned
-/// streams is a permutation of the input.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero.
-#[must_use]
-pub fn partition_pairs(
-    recipe: &HashRecipe,
-    shards: usize,
-    pairs: impl IntoIterator<Item = (u64, u64)>,
-) -> Vec<Vec<(u64, u64)>> {
-    assert!(shards > 0, "need at least one shard");
-    let mut parts: Vec<Vec<(u64, u64)>> = (0..shards).map(|_| Vec::new()).collect();
-    for (key, payload) in pairs {
-        parts[recipe.shard_of(key, shards as u64) as usize].push((key, payload));
-    }
-    parts
-}
-
-/// Builds one [`HashIndex`] per shard from `pairs`, sizing each shard's
-/// bucket array for its own entry count at the given target `load`
-/// (entries per bucket, e.g. 1.0 for ~1 entry/bucket), with a floor of
-/// `min_buckets` buckets per shard.
-///
-/// # Panics
-///
-/// Panics if `shards` or `min_buckets` is zero, or `load` is not
-/// positive.
-#[must_use]
-pub fn build_sharded(
-    recipe: &HashRecipe,
-    shards: usize,
-    min_buckets: usize,
-    load: f64,
-    pairs: impl IntoIterator<Item = (u64, u64)>,
-) -> Vec<HashIndex> {
-    assert!(min_buckets > 0, "need at least one bucket per shard");
-    assert!(load > 0.0, "target load must be positive");
-    partition_pairs(recipe, shards, pairs)
-        .into_iter()
-        .map(|part| {
-            let want = (part.len() as f64 / load).ceil() as usize;
-            HashIndex::build(recipe.clone(), want.max(min_buckets), part)
-        })
-        .collect()
-}
-
 /// Splits `pairs` into `shards` contiguous key ranges of roughly equal
-/// entry count — the *ordered* counterpart of [`partition_pairs`]:
-/// boundary keys instead of hashing, so each shard owns one span of the
-/// key space and cross-shard scans touch only adjacent shards.
+/// entry count: each shard owns one span of the key space, so
+/// cross-shard scans touch only adjacent shards.
 ///
 /// Returns the per-shard entry streams (each key-sorted, stable — equal
 /// keys keep their input order) and the `shards - 1` boundary keys:
@@ -109,36 +58,15 @@ pub fn partition_range(
     (parts, boundaries)
 }
 
-/// Builds one [`BTreeIndex`] per range shard from `pairs` (see
-/// [`partition_range`]), returning the trees and the boundary keys that
-/// route to them.
-///
-/// # Panics
-///
-/// Panics if `shards` is zero or `fanout < 2`.
-#[must_use]
-pub fn build_range_sharded(
-    fanout: usize,
-    shards: usize,
-    pairs: impl IntoIterator<Item = (u64, u64)>,
-) -> (Vec<BTreeIndex>, Vec<u64>) {
-    let (parts, boundaries) = partition_range(shards, pairs);
-    let trees = parts
-        .into_iter()
-        .map(|part| BTreeIndex::build(fanout, part))
-        .collect();
-    (trees, boundaries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::BTreeIndex;
 
     #[test]
     fn partition_is_a_permutation() {
-        let recipe = HashRecipe::robust64();
         let pairs: Vec<(u64, u64)> = (0..500u64).map(|k| (k % 97, k)).collect();
-        let parts = partition_pairs(&recipe, 3, pairs.iter().copied());
+        let (parts, _) = partition_range(3, pairs.iter().copied());
         assert_eq!(parts.len(), 3);
         let mut merged: Vec<(u64, u64)> = parts.concat();
         merged.sort_unstable();
@@ -148,58 +76,16 @@ mod tests {
     }
 
     #[test]
-    fn partition_routes_by_shard_of() {
-        let recipe = HashRecipe::robust64();
-        let parts = partition_pairs(&recipe, 4, (0..200u64).map(|k| (k, k)));
-        for (s, part) in parts.iter().enumerate() {
-            for (k, _) in part {
-                assert_eq!(recipe.shard_of(*k, 4), s as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_build_finds_every_key_in_its_shard() {
-        let recipe = HashRecipe::robust64();
-        let pairs: Vec<(u64, u64)> = (0..1000u64).map(|k| (k, k * 10)).collect();
-        let indexes = build_sharded(&recipe, 4, 16, 1.0, pairs.iter().copied());
-        assert_eq!(indexes.len(), 4);
-        let total: usize = indexes.iter().map(HashIndex::len).sum();
-        assert_eq!(total, 1000);
-        for k in 0..1000u64 {
-            let s = recipe.shard_of(k, 4) as usize;
-            assert_eq!(indexes[s].lookup(k), Some(k * 10), "key {k}");
-            // And it lives nowhere else.
-            for (other, idx) in indexes.iter().enumerate() {
-                if other != s {
-                    assert_eq!(idx.lookup(k), None, "key {k} leaked into shard {other}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn load_controls_bucket_sizing() {
-        let recipe = HashRecipe::robust64();
-        let pairs: Vec<(u64, u64)> = (0..4096u64).map(|k| (k, k)).collect();
-        let tight = build_sharded(&recipe, 2, 1, 4.0, pairs.iter().copied());
-        let roomy = build_sharded(&recipe, 2, 1, 0.5, pairs.iter().copied());
-        for (t, r) in tight.iter().zip(&roomy) {
-            assert!(r.bucket_count() > t.bucket_count());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
-        let _ = partition_pairs(&HashRecipe::robust64(), 0, std::iter::empty());
+        let _ = partition_range(0, std::iter::empty());
     }
 
     #[test]
     fn single_shard_degenerates_to_plain_build() {
-        let recipe = HashRecipe::robust64();
-        let parts = partition_pairs(&recipe, 1, (0..50u64).map(|k| (k, k)));
+        let (parts, bounds) = partition_range(1, (0..50u64).map(|k| (k, k)));
         assert_eq!(parts[0].len(), 50);
+        assert!(bounds.is_empty());
     }
 
     #[test]
@@ -256,7 +142,8 @@ mod tests {
     #[test]
     fn range_sharded_trees_scan_their_own_spans() {
         let pairs: Vec<(u64, u64)> = (0..600u64).map(|k| (k, k + 1)).collect();
-        let (trees, bounds) = build_range_sharded(8, 3, pairs);
+        let (parts, bounds) = partition_range(3, pairs);
+        let trees: Vec<BTreeIndex> = parts.into_iter().map(|p| BTreeIndex::build(8, p)).collect();
         assert_eq!(trees.len(), 3);
         assert_eq!(bounds.len(), 2);
         let total: usize = trees.iter().map(BTreeIndex::len).sum();

@@ -78,8 +78,9 @@ fn writes_round_trip_over_tcp() {
     drop(client);
     let _ = server.shutdown();
     let stats = unwrap_service(service).shutdown();
-    // 16 inserts + 2 updates + 3 deletes, each applied in both tiers.
-    assert_eq!(stats.total_write_ops(), 21 * 2);
+    // 16 inserts + 2 updates + 3 deletes, each applied to both tiers
+    // at one barrier and counted once.
+    assert_eq!(stats.total_write_ops(), 21);
 }
 
 #[test]
@@ -118,10 +119,10 @@ fn writes_pipeline_with_reads() {
     let json = client.stats_json().expect("stats scrape");
     assert_eq!(
         find_u64(&json, "total_write_ops"),
-        Some(24 * 2),
-        "both tiers count each op: {json}"
+        Some(24),
+        "each op counts once: {json}"
     );
-    assert_eq!(find_u64(&json, "total_write_applied"), Some(24 * 2));
+    assert_eq!(find_u64(&json, "total_write_applied"), Some(24));
 
     drop(client);
     let _ = server.shutdown();

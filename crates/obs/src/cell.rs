@@ -29,6 +29,8 @@ pub struct WorkerCell {
     batches: AtomicU64,
     keys: AtomicU64,
     matches: AtomicU64,
+    scan_cursors: AtomicU64,
+    scan_entries: AtomicU64,
     size_flushes: AtomicU64,
     deadline_flushes: AtomicU64,
     shutdown_flushes: AtomicU64,
@@ -70,10 +72,18 @@ impl WorkerCell {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count `n` emitted matches (or scan entries).
+    /// Count `n` emitted matches.
     #[inline]
     pub fn add_matches(&self, n: u64) {
         self.matches.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Count `cursors` range-scan cursors fed and the `entries` they
+    /// emitted.
+    #[inline]
+    pub fn add_scans(&self, cursors: u64, entries: u64) {
+        self.scan_cursors.fetch_add(cursors, Ordering::Relaxed);
+        self.scan_entries.fetch_add(entries, Ordering::Relaxed);
     }
 
     /// Accumulate time spent walking the index.
@@ -116,6 +126,8 @@ impl WorkerCell {
             batches: self.batches.load(Ordering::Relaxed),
             keys: self.keys.load(Ordering::Relaxed),
             matches: self.matches.load(Ordering::Relaxed),
+            scan_cursors: self.scan_cursors.load(Ordering::Relaxed),
+            scan_entries: self.scan_entries.load(Ordering::Relaxed),
             size_flushes: self.size_flushes.load(Ordering::Relaxed),
             deadline_flushes: self.deadline_flushes.load(Ordering::Relaxed),
             shutdown_flushes: self.shutdown_flushes.load(Ordering::Relaxed),
@@ -138,8 +150,12 @@ pub struct WorkerCellSnapshot {
     pub batches: u64,
     /// Probed keys.
     pub keys: u64,
-    /// Emitted matches / scan entries.
+    /// Emitted matches.
     pub matches: u64,
+    /// Range-scan cursors fed.
+    pub scan_cursors: u64,
+    /// Entries the scan cursors emitted.
+    pub scan_entries: u64,
     /// Batches flushed because they reached the size target.
     pub size_flushes: u64,
     /// Batches flushed because the deadline expired.
@@ -174,6 +190,7 @@ mod tests {
         cell.add_batch(5, FlushKind::Deadline);
         cell.add_batch(1, FlushKind::Shutdown);
         cell.add_matches(17);
+        cell.add_scans(2, 40);
         cell.add_busy(Duration::from_micros(10));
         cell.add_idle(Duration::from_micros(4));
         cell.add_write_batch(8, 6);
@@ -184,6 +201,7 @@ mod tests {
         assert_eq!(s.batches, 3);
         assert_eq!(s.keys, 70);
         assert_eq!(s.matches, 17);
+        assert_eq!((s.scan_cursors, s.scan_entries), (2, 40));
         assert_eq!(s.size_flushes, 1);
         assert_eq!(s.deadline_flushes, 1);
         assert_eq!(s.shutdown_flushes, 1);

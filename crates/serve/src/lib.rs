@@ -7,24 +7,27 @@
 //! request/response surface a production in-memory DB front-end needs —
 //! a **software walker pool as a service**:
 //!
-//! * [`ShardedIndex`] — the index partitioned by
-//!   [`HashRecipe::shard_of`](widx_db::hash::HashRecipe::shard_of) into
-//!   independent per-worker [`HashIndex`](widx_db::index::HashIndex)es
-//!   (the shard-aware build path of `widx_db::index`);
-//! * [`ProbeService`] — one worker thread per shard (the dispatcher
-//!   role), each driving a resumable
-//!   [`AmacWalker`](widx_soft::AmacWalker) ring (the walkers) over
-//!   *batches* assembled from a bounded queue: flush at
-//!   [`batch_size`](ServeConfig::batch_size) keys or a deadline,
-//!   backpressure when queues fill, and poison-pill shutdown mirroring
+//! * [`ShardedIndex`] — the index split at boundary keys into
+//!   contiguous key ranges, one independent
+//!   [`HashIndex`](widx_db::index::HashIndex) per range (built from
+//!   [`partition_range`](widx_db::index::partition_range));
+//! * [`OrderedShardedIndex`] — the ordered counterpart, split at the
+//!   *same* boundary keys: one
+//!   [`BTreeIndex`](widx_db::index::BTreeIndex) per range, serving
+//!   [`Request::RangeScan`] — scans scatter to the adjacent shards
+//!   their interval overlaps and gather back into one key-ordered,
+//!   limit-truncated reply;
+//! * [`ProbeService`] — one worker thread per key range (the dispatcher
+//!   role), owning that range's hash shard and, when built, its B+-tree
+//!   shard. Each worker drains one bounded queue into *batches* — flush
+//!   at [`batch_size`](ServeConfig::batch_size) probe keys plus scan
+//!   cursors, or a deadline — and feeds probes to a resumable
+//!   [`AmacWalker`](widx_soft::AmacWalker) ring and scans to a
+//!   [`BTreeRangeWalker`](widx_soft::BTreeRangeWalker) ring (the
+//!   walkers). Writes join the same queue and apply to both tiers at one
+//!   batch barrier, so a read never sees one tier ahead of the other.
+//!   Queues push back when full, and shutdown mirrors
 //!   [`widx_core::POISON_KEY`] — drain accepted work, then halt;
-//! * [`OrderedShardedIndex`] — the *range-partitioned* counterpart:
-//!   contiguous key spans split by boundary keys, one
-//!   [`BTreeIndex`](widx_db::index::BTreeIndex) per shard, serving
-//!   [`Request::RangeScan`] through per-shard
-//!   [`BTreeRangeWalker`](widx_soft::BTreeRangeWalker) rings — scans
-//!   scatter to the adjacent shards their interval overlaps and gather
-//!   back into one key-ordered, limit-truncated reply;
 //! * typed requests — [`Request::Lookup`], [`Request::MultiLookup`],
 //!   [`Request::JoinProbe`], [`Request::RangeScan`] (ascending or
 //!   `ORDER BY key DESC` via its `desc` flag) — with per-request
@@ -68,9 +71,15 @@
 //! let entries = service.range_scan(100, 5_000, 3).unwrap();
 //! assert_eq!(entries, vec![(100, 101), (101, 102), (102, 103)]);
 //!
+//! // Writes land in both tiers at one barrier and are acked once.
+//! assert!(service.update(100, 7).unwrap());
+//! assert_eq!(service.range_scan(100, 100, 1).unwrap(), vec![(100, 7)]);
+//!
 //! let stats = service.shutdown();
+//! assert_eq!(stats.workers.len(), 2); // one worker per key range, both tiers
 //! assert_eq!(stats.total_keys(), 4); // one lookup key + three join rows
-//! assert!(stats.total_scan_entries() >= 3);
+//! assert!(stats.total_scan_entries() >= 4);
+//! assert_eq!(stats.total_write_ops(), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -80,6 +89,7 @@ mod batch;
 mod ordered;
 mod queue;
 mod request;
+mod route;
 mod service;
 mod shard;
 mod stats;

@@ -1,27 +1,20 @@
 //! The ordered sharded index: N contiguous key-space partitions, each
 //! served by its own [`BTreeIndex`] — the range-serving counterpart of
-//! the hash-routed [`ShardedIndex`](crate::ShardedIndex).
+//! [`ShardedIndex`](crate::ShardedIndex), split at the same boundary
+//! keys so one worker owns both tiers of a key range.
 //!
-//! Where the hash index routes by `recipe.shard_of(key)`, the ordered
-//! index routes by *boundary keys*: shard `i` owns the contiguous span
-//! `[boundaries[i-1], boundaries[i])`. That placement is what makes
-//! range serving scale — a scan touches only the adjacent shards its
-//! key interval overlaps, and gathering their per-shard (already
-//! key-ordered, disjoint) result streams back into one ordered reply is
-//! a concatenation, not a merge sort.
-//!
-//! Writes route by [`write_shard_of`](OrderedShardedIndex::write_shard_of),
-//! which is *pure* in the boundaries (plus one build-time constant for
-//! the saturated-`u64::MAX` corner). Purity is the single-home
-//! invariant: every copy of a key ever inserted lands in the one shard
-//! the function names, so deletes and updates are single-shard
-//! operations no matter what sequence of writes preceded them. The
-//! read-side [`shard_of`](OrderedShardedIndex::shard_of) may walk back
-//! over shards a delete storm emptied; the write side never does.
+//! Shard `i` owns the contiguous span `[boundaries[i-1],
+//! boundaries[i])`. That placement is what makes range serving scale —
+//! a scan touches only the adjacent shards its key interval overlaps,
+//! and gathering their per-shard (already key-ordered, disjoint) result
+//! streams back into one ordered reply is a concatenation, not a merge
+//! sort.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use widx_db::index::{build_range_sharded, BTreeIndex};
+use widx_db::index::BTreeIndex;
+
+use crate::route::KeyRanges;
 
 /// A B+-tree index range-partitioned into independent shards, one per
 /// serving worker. Scans route by boundary-key span; builds split the
@@ -29,14 +22,7 @@ use widx_db::index::{build_range_sharded, BTreeIndex};
 /// of one key never straddle a boundary).
 pub struct OrderedShardedIndex {
     shards: Vec<RwLock<BTreeIndex>>,
-    /// `shards - 1` non-decreasing boundary keys; shard `i` owns keys
-    /// `k` with `boundaries[i-1] <= k < boundaries[i]` (unbounded at
-    /// the ends).
-    boundaries: Vec<u64>,
-    /// Build-time home for `key == u64::MAX` when the trailing
-    /// saturated boundary collides with it (see
-    /// [`write_shard_of`](Self::write_shard_of)).
-    max_key_home: usize,
+    ranges: KeyRanges,
 }
 
 impl OrderedShardedIndex {
@@ -52,21 +38,13 @@ impl OrderedShardedIndex {
         shards: usize,
         pairs: impl IntoIterator<Item = (u64, u64)>,
     ) -> OrderedShardedIndex {
-        let (built, boundaries) = build_range_sharded(fanout, shards, pairs);
-        // If the data ends at u64::MAX, the trailing empty shards carry
-        // a saturated boundary equal to the key itself; the pure write
-        // route (`partition_point(|b| *b <= key)`, which for `u64::MAX`
-        // is every boundary) would point past the data. Freeze the
-        // actual home now — boundaries never change, so the exception
-        // is as static as the rest of the function.
-        let mut max_key_home = boundaries.len();
-        while max_key_home > 0 && built[max_key_home].is_empty() {
-            max_key_home -= 1;
-        }
+        let (parts, ranges) = KeyRanges::partition(shards, pairs);
         OrderedShardedIndex {
-            shards: built.into_iter().map(RwLock::new).collect(),
-            boundaries,
-            max_key_home,
+            shards: parts
+                .into_iter()
+                .map(|part| RwLock::new(BTreeIndex::build(fanout, part)))
+                .collect(),
+            ranges,
         }
     }
 
@@ -117,38 +95,15 @@ impl OrderedShardedIndex {
     /// non-decreasing).
     #[must_use]
     pub fn boundaries(&self) -> &[u64] {
-        &self.boundaries
+        self.ranges.boundaries()
     }
 
-    /// The shard a *read* for `key` lands on: boundary routing, walking
-    /// back over shards that have been emptied (a probe there would
-    /// just miss; the walk-back finds data the build placed lower).
+    /// The shard that owns `key`, for reads and writes alike: a pure
+    /// function of the frozen boundaries, so every write of a key, ever,
+    /// lands in the same shard.
     #[must_use]
     pub fn shard_of(&self, key: u64) -> usize {
-        let mut shard = self.boundaries.partition_point(|b| *b <= key);
-        // Trailing empty shards carry a saturated boundary of
-        // `last_key + 1`; when the data itself ends at `u64::MAX` that
-        // boundary collides with the key, over-routing it into the
-        // empty tail — walk back to the shard that actually holds data.
-        while shard > 0 && self.read(shard).is_empty() {
-            shard -= 1;
-        }
-        shard
-    }
-
-    /// The shard a *write* for `key` belongs to. Pure in the (frozen)
-    /// boundaries — no dependence on which shards currently hold data —
-    /// so every write of a key, ever, lands in the same shard: inserts
-    /// cannot dual-home a key, and deletes/updates are single-shard.
-    /// The one exception is itself static: `key == u64::MAX` under a
-    /// saturated tail boundary routes to the build-time
-    /// `max_key_home`.
-    #[must_use]
-    pub fn write_shard_of(&self, key: u64) -> usize {
-        if key == u64::MAX && self.boundaries.last() == Some(&u64::MAX) {
-            return self.max_key_home;
-        }
-        self.boundaries.partition_point(|b| *b <= key)
+        self.ranges.shard_of(key)
     }
 
     /// The inclusive span of shards the range `[lo, hi]` can touch, as
@@ -162,10 +117,12 @@ impl OrderedShardedIndex {
     /// filter them first).
     #[must_use]
     pub fn shard_span(&self, lo: u64, hi: u64) -> (usize, usize) {
-        assert!(lo <= hi, "degenerate range has no shard span");
-        let first = self.boundaries.partition_point(|b| *b < lo);
-        let last = self.boundaries.partition_point(|b| *b <= hi);
-        (first, last)
+        self.ranges.shard_span(lo, hi)
+    }
+
+    /// The key-range routing rule, shared with the hash tier.
+    pub(crate) fn ranges(&self) -> &KeyRanges {
+        &self.ranges
     }
 
     /// Total entries across all shards.
@@ -242,11 +199,6 @@ mod tests {
             assert_eq!(hit, vec![owner], "key {k}");
             let (first, last) = idx.shard_span(k, k);
             assert!((first..=last).contains(&owner), "span covers owner for {k}");
-            assert_eq!(
-                idx.write_shard_of(k),
-                owner,
-                "write route agrees while data is in place for {k}"
-            );
         }
     }
 
@@ -340,18 +292,52 @@ mod tests {
     fn max_key_routes_to_its_data_despite_saturated_boundary() {
         // Data ending at u64::MAX with empty trailing shards: the
         // saturated boundary equals the key, which must still route to
-        // the shard holding it — for reads, writes, and scans.
+        // the shard holding it — in both tiers, for reads, writes, and
+        // scans.
         let idx = OrderedShardedIndex::from_pairs(4, 3, [(u64::MAX, 7u64), (u64::MAX, 8)]);
         let owner = idx.shard_of(u64::MAX);
         assert!(
             idx.read(owner).lookup(u64::MAX).is_some(),
             "owner shard holds the key"
         );
-        assert_eq!(idx.write_shard_of(u64::MAX), owner);
         assert_eq!(
             idx.scan(u64::MAX, u64::MAX, usize::MAX),
             vec![(u64::MAX, 7), (u64::MAX, 8)]
         );
+        // Both index types built from the same pairs route every key —
+        // data keys, their neighbours, the boundaries, both ends of the
+        // key space — to the same shard.
+        let sets: [Vec<(u64, u64)>; 4] = [
+            vec![(u64::MAX, 7), (u64::MAX, 8)],
+            vec![(3, 0), (u64::MAX - 1, 1), (u64::MAX, 2)],
+            (0..100u64).map(|k| (k * 3, k)).collect(),
+            Vec::new(),
+        ];
+        for pairs in sets {
+            for shards in 1..6 {
+                let ordered = OrderedShardedIndex::from_pairs(4, shards, pairs.iter().copied());
+                let hashed = crate::ShardedIndex::from_pairs(
+                    widx_db::hash::HashRecipe::robust64(),
+                    shards,
+                    4,
+                    1.0,
+                    pairs.iter().copied(),
+                );
+                assert_eq!(hashed.ranges(), ordered.ranges());
+                let mut keys = vec![0, 1, u64::MAX - 1, u64::MAX];
+                for (k, _) in &pairs {
+                    keys.extend([k.saturating_sub(1), *k, k.saturating_add(1)]);
+                }
+                keys.extend_from_slice(ordered.boundaries());
+                for k in keys {
+                    let owner = ordered.shard_of(k);
+                    assert_eq!(hashed.shard_of(k), owner, "key {k}, {shards} shards");
+                    if !hashed.lookup_all(k).is_empty() {
+                        assert!(ordered.read(owner).lookup(k).is_some(), "key {k}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -363,15 +349,15 @@ mod tests {
         let victim_lo = idx.boundaries()[0];
         let victim_hi = idx.boundaries()[1] - 1;
         for k in victim_lo..=victim_hi {
-            idx.write(idx.write_shard_of(k)).delete(k);
+            idx.write(idx.shard_of(k)).delete(k);
         }
         assert!(idx.read(1).is_empty(), "shard 1 emptied");
         for k in victim_lo..=victim_hi.min(victim_lo + 50) {
-            let home = idx.write_shard_of(k);
+            let home = idx.shard_of(k);
             assert_eq!(home, 1, "route ignores emptiness");
             idx.write(home).insert(k, 777);
             assert_eq!(idx.scan(k, k, usize::MAX), vec![(k, 777)]);
-            assert_eq!(idx.write(idx.write_shard_of(k)).delete(k), 1);
+            assert_eq!(idx.write(idx.shard_of(k)).delete(k), 1);
             assert!(idx.scan(k, k, usize::MAX).is_empty());
         }
     }
@@ -380,9 +366,9 @@ mod tests {
     fn writes_within_the_span_stay_scannable() {
         let idx = ordered(4, 500);
         // Insert brand-new keys between existing ones across all shards
-        // through the write route; scans must see them in order.
+        // through the route; scans must see them in order.
         for k in (1..999u64).step_by(2) {
-            idx.write(idx.write_shard_of(k)).insert(k, k + 10_000);
+            idx.write(idx.shard_of(k)).insert(k, k + 10_000);
         }
         let all = idx.scan(0, 1000, usize::MAX);
         let mut want: Vec<(u64, u64)> = (0..500u64).map(|k| (k * 2, k)).collect();

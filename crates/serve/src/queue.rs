@@ -26,22 +26,18 @@ pub(crate) enum Job {
         reply: Arc<ResponseState>,
     },
     /// Run `scans` (`(scatter rank, range)` pairs) on behalf of `reply`
-    /// — one cursor per scan on the shard's B+-tree walker. Only range
-    /// workers' queues carry this variant.
+    /// — one cursor per scan on the shard's B+-tree walker. Only
+    /// services with an ordered tier enqueue this variant.
     Scan {
         scans: Vec<(u32, ScanRange)>,
         reply: Arc<ResponseState>,
     },
     /// Apply `ops` (`(request op index, op)` pairs, every key owned by
-    /// this shard) under the shard's write guard at the worker's next
-    /// batch barrier. `ack` marks the authoritative tier: hash-tier
-    /// parts report per-op `(op, key, applied)` rows back to the reply;
-    /// ordered-tier parts apply the same mutations but complete empty
-    /// (the hash tier owns the acks, so a dual-tier write never
-    /// double-reports).
+    /// this shard) to both of the shard's indexes under their write
+    /// guards at the worker's next batch barrier, and report per-op
+    /// `(op, key, applied)` rows back to the reply.
     Write {
         ops: Vec<(u32, WriteOp)>,
-        ack: bool,
         reply: Arc<ResponseState>,
     },
     /// Poison pill: the worker finishes queued work, then halts. Carries
@@ -299,16 +295,12 @@ mod tests {
                 (1, WriteOp::Delete { key: 9 }),
                 (2, WriteOp::Update { key: 1, payload: 3 }),
             ],
-            ack: true,
             reply,
         })
         .unwrap();
         assert_eq!(q.backlog_keys(), 3, "one unit per write op");
         match q.pop() {
-            Job::Write { ops, ack, .. } => {
-                assert_eq!(ops.len(), 3);
-                assert!(ack);
-            }
+            Job::Write { ops, .. } => assert_eq!(ops.len(), 3),
             _ => panic!("unexpected job kind"),
         }
         assert_eq!(q.backlog_keys(), 0);

@@ -505,7 +505,7 @@ impl ResponseState {
         released
     }
 
-    /// Called by a range worker when a streaming scan's walker has
+    /// Called by a shard worker when a streaming scan's walker has
     /// yielded a chunk for scatter rank `rank`. Chunks for the head
     /// rank become consumable immediately; later ranks stash until the
     /// seam reaches them.
@@ -546,7 +546,7 @@ impl ResponseState {
         spare
     }
 
-    /// Called by a range worker when a streaming scan's part for
+    /// Called by a shard worker when a streaming scan's part for
     /// scatter rank `rank` has fully drained (every chunk pushed).
     /// Returns the completion latency when this was the final part,
     /// already recorded into `cell` **before** any completion signal —
@@ -775,10 +775,9 @@ impl PendingResponse {
             }
             RequestKind::Write { ops } => {
                 // Items are `(op index, key, applied)` rows from the
-                // authoritative (hash) tier's shard workers; the ordered
-                // tier's parts complete empty. Unreported ops cannot
-                // happen — every op is routed to exactly one hash shard
-                // — but default to a miss ack defensively.
+                // shard workers. Unreported ops cannot happen — every op
+                // is routed to exactly one shard — but default to a miss
+                // ack defensively.
                 let mut acks = vec![false; ops];
                 for (op, _key, applied) in items {
                     acks[op as usize] = applied != 0;
@@ -1008,11 +1007,9 @@ mod tests {
 
     #[test]
     fn write_acks_assemble_positionally_from_routed_rows() {
-        // 4 ops scattered over two hash parts plus one ordered-tier
-        // part that completes empty; op 2 missed.
-        let state = Arc::new(ResponseState::new(RequestKind::Write { ops: 4 }, 3));
+        // 4 ops scattered over two shard parts; op 2 missed.
+        let state = Arc::new(ResponseState::new(RequestKind::Write { ops: 4 }, 2));
         state.complete_part(&[(0, 10, 1), (2, 30, 0)], None);
-        state.complete_part(&[], None); // ordered tier: no acks
         state.complete_part(&[(1, 20, 1), (3, 40, 1)], None);
         match (PendingResponse { state }).wait() {
             Response::Write { acks } => assert_eq!(acks, vec![true, true, false, true]),

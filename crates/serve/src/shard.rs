@@ -1,6 +1,7 @@
-//! The sharded index: N independent [`HashIndex`] partitions routed by
-//! [`HashRecipe::shard_of`], built through the shard-aware build path in
-//! `widx_db::index`.
+//! The sharded index: N independent [`HashIndex`] partitions, one per
+//! contiguous key range. The ranges are the same ones the ordered tier
+//! ([`OrderedShardedIndex`](crate::OrderedShardedIndex)) splits at, so
+//! hash shard `i` and B+-tree shard `i` belong to one worker.
 //!
 //! Since the serving tier accepts online writes, each shard sits behind
 //! its own `RwLock`. The lock is *structurally* uncontended: the shard
@@ -13,18 +14,23 @@
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use widx_db::hash::HashRecipe;
-use widx_db::index::{build_sharded, HashIndex, IndexStats};
+use widx_db::index::{HashIndex, IndexStats};
+
+use crate::route::KeyRanges;
 
 /// A hash index partitioned into independent shards, one per serving
-/// worker. Probes route by `recipe.shard_of(key, shards)`; builds size
-/// each shard's bucket array for its own entry count.
+/// worker. Probes route by key range; builds size each shard's bucket
+/// array for its own entry count.
 pub struct ShardedIndex {
     recipe: HashRecipe,
     shards: Vec<RwLock<HashIndex>>,
+    ranges: KeyRanges,
 }
 
 impl ShardedIndex {
-    /// Partitions `pairs` into `shards` indexes, each sized for ~`load`
+    /// Partitions `pairs` into `shards` contiguous key ranges of roughly
+    /// equal entry count (duplicates of one key never straddle a
+    /// boundary) and builds one index per range, each sized for ~`load`
     /// entries per bucket with at least `min_buckets` buckets.
     ///
     /// # Panics
@@ -39,10 +45,24 @@ impl ShardedIndex {
         load: f64,
         pairs: impl IntoIterator<Item = (u64, u64)>,
     ) -> ShardedIndex {
-        let built = build_sharded(&recipe, shards, min_buckets, load, pairs);
+        assert!(min_buckets > 0, "need at least one bucket per shard");
+        assert!(load > 0.0, "target load must be positive");
+        let (parts, ranges) = KeyRanges::partition(shards, pairs);
+        let shards = parts
+            .into_iter()
+            .map(|part| {
+                let want = (part.len() as f64 / load).ceil() as usize;
+                RwLock::new(HashIndex::build(
+                    recipe.clone(),
+                    want.max(min_buckets),
+                    part,
+                ))
+            })
+            .collect();
         ShardedIndex {
             recipe,
-            shards: built.into_iter().map(RwLock::new).collect(),
+            shards,
+            ranges,
         }
     }
 
@@ -75,7 +95,12 @@ impl ShardedIndex {
     /// so a shard worker is the sole writer for everything it serves.
     #[must_use]
     pub fn shard_of(&self, key: u64) -> usize {
-        self.recipe.shard_of(key, self.shards.len() as u64) as usize
+        self.ranges.shard_of(key)
+    }
+
+    /// The key-range routing rule, shared with the ordered tier.
+    pub(crate) fn ranges(&self) -> &KeyRanges {
+        &self.ranges
     }
 
     /// Read access to shard `shard`. Walker batches hold this guard for
@@ -98,7 +123,7 @@ impl ShardedIndex {
         self.shards[shard].write().expect("hash shard lock")
     }
 
-    /// The routing/bucketing recipe.
+    /// The bucketing recipe.
     #[must_use]
     pub fn recipe(&self) -> &HashRecipe {
         &self.recipe
@@ -174,6 +199,23 @@ mod tests {
                 *size > mean / 2 && *size < mean * 2,
                 "shard {s} imbalanced: {sizes:?}"
             );
+        }
+    }
+
+    #[test]
+    fn load_controls_bucket_sizing() {
+        let build = |load: f64| {
+            ShardedIndex::from_pairs(
+                HashRecipe::robust64(),
+                2,
+                1,
+                load,
+                (0..4096u64).map(|k| (k, k)),
+            )
+        };
+        let (tight, roomy) = (build(4.0), build(0.5));
+        for s in 0..2 {
+            assert!(roomy.read(s).bucket_count() > tight.read(s).bucket_count());
         }
     }
 

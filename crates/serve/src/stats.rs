@@ -25,8 +25,13 @@ pub struct WorkerStats {
     pub batches: u64,
     /// Keys probed.
     pub keys: u64,
-    /// Matches emitted.
+    /// Matches emitted (probe matches plus applied write ops).
     pub matches: u64,
+    /// Range-scan cursors fed (one per scan per shard it overlapped).
+    pub scan_cursors: u64,
+    /// Entries the scan cursors emitted (before any gather truncation
+    /// at the request's `limit`).
+    pub scan_entries: u64,
     /// Batches closed because they reached the size target.
     pub size_flushes: u64,
     /// Batches closed by the deadline.
@@ -56,6 +61,8 @@ impl WorkerStats {
             batches: cell.batches,
             keys: cell.keys,
             matches: cell.matches,
+            scan_cursors: cell.scan_cursors,
+            scan_entries: cell.scan_entries,
             size_flushes: cell.size_flushes,
             deadline_flushes: cell.deadline_flushes,
             shutdown_flushes: cell.shutdown_flushes,
@@ -79,24 +86,31 @@ impl WorkerStats {
         }
     }
 
-    /// Keys probed per second of *busy* time (per-walker service rate).
+    /// Probe keys plus scan cursors a batch holds — what the size flush
+    /// counts.
+    fn batch_items(&self) -> f64 {
+        (self.keys + self.scan_cursors) as f64
+    }
+
+    /// Probe keys plus scan cursors per second of *busy* time
+    /// (per-walker service rate).
     #[must_use]
     pub fn busy_throughput(&self) -> f64 {
         let busy = self.busy.as_secs_f64();
         if busy == 0.0 {
             0.0
         } else {
-            self.keys as f64 / busy
+            self.batch_items() / busy
         }
     }
 
-    /// Mean keys per flushed batch.
+    /// Mean probe keys plus scan cursors per flushed batch.
     #[must_use]
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0
         } else {
-            self.keys as f64 / self.batches as f64
+            self.batch_items() / self.batches as f64
         }
     }
 }
@@ -298,15 +312,11 @@ impl NetStats {
 /// as the final snapshot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServiceStats {
-    /// Per-worker counters for the point-probe (hash) tier, in shard
-    /// order. `keys` counts probe keys.
+    /// Per-worker counters in shard order. Each worker serves both
+    /// tiers of its key range: `keys` counts probe keys, `scan_cursors`
+    /// the range-scan cursors, and each write op counts once.
     pub workers: Vec<WorkerStats>,
-    /// Per-worker counters for the ordered (range-scan) tier, in shard
-    /// order — empty on services built without one. `keys` counts scan
-    /// cursors fed; `matches` counts entries emitted.
-    pub range_workers: Vec<WorkerStats>,
-    /// Completion-latency summary across every finished request (both
-    /// tiers).
+    /// Completion-latency summary across every finished request.
     pub latency: LatencySummary,
     /// Per-stage breakdown of where request time goes.
     pub stages: StageStats,
@@ -336,60 +346,53 @@ impl ServiceStats {
         self
     }
 
-    /// Total keys probed across point-probe workers.
+    fn total(&self, field: fn(&WorkerStats) -> u64) -> u64 {
+        self.workers.iter().map(field).sum()
+    }
+
+    /// Total keys probed.
     #[must_use]
     pub fn total_keys(&self) -> u64 {
-        self.workers.iter().map(|w| w.keys).sum()
+        self.total(|w| w.keys)
     }
 
-    /// Total matches across point-probe workers.
+    /// Total matches (probe matches plus applied write ops).
     #[must_use]
     pub fn total_matches(&self) -> u64 {
-        self.workers.iter().map(|w| w.matches).sum()
+        self.total(|w| w.matches)
     }
 
-    /// Total scan cursors driven across range workers (one per shard a
-    /// scan's interval overlapped).
+    /// Total scan cursors driven (one per shard a scan's interval
+    /// overlapped).
     #[must_use]
     pub fn total_scan_cursors(&self) -> u64 {
-        self.range_workers.iter().map(|w| w.keys).sum()
+        self.total(|w| w.scan_cursors)
     }
 
-    /// Total entries emitted across range workers (before any gather
+    /// Total entries the scan cursors emitted (before any gather
     /// truncation at the request's `limit`).
     #[must_use]
     pub fn total_scan_entries(&self) -> u64 {
-        self.range_workers.iter().map(|w| w.matches).sum()
+        self.total(|w| w.scan_entries)
     }
 
-    /// Total mutation operations applied across both tiers.
+    /// Total mutation operations applied (each op once, though it
+    /// lands in both tiers).
     #[must_use]
     pub fn total_write_ops(&self) -> u64 {
-        self.workers
-            .iter()
-            .chain(self.range_workers.iter())
-            .map(|w| w.write_ops)
-            .sum()
+        self.total(|w| w.write_ops)
     }
 
-    /// Total mutation operations that took effect across both tiers.
+    /// Total mutation operations that took effect.
     #[must_use]
     pub fn total_write_applied(&self) -> u64 {
-        self.workers
-            .iter()
-            .chain(self.range_workers.iter())
-            .map(|w| w.write_applied)
-            .sum()
+        self.total(|w| w.write_applied)
     }
 
-    /// Total write barriers executed across both tiers.
+    /// Total write barriers executed.
     #[must_use]
     pub fn total_write_batches(&self) -> u64 {
-        self.workers
-            .iter()
-            .chain(self.range_workers.iter())
-            .map(|w| w.write_batches)
-            .sum()
+        self.total(|w| w.write_batches)
     }
 
     /// Service-level throughput: keys probed per wall-clock second.
@@ -461,40 +464,38 @@ impl ServiceStats {
             out.push_str(&format!(" \"{}\": {}", name, summary.to_json()));
         }
         out.push_str("},");
-        for (field, tier) in [
-            ("workers", &self.workers),
-            ("range_workers", &self.range_workers),
-        ] {
-            out.push_str(&format!(" \"{field}\": ["));
-            for (i, w) in tier.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    " {{\"shard\": {}, \"jobs\": {}, \"batches\": {}, \"keys\": {}, \
-                     \"matches\": {}, \"size_flushes\": {}, \"deadline_flushes\": {}, \
-                     \"shutdown_flushes\": {}, \"write_ops\": {}, \
-                     \"write_applied\": {}, \"write_batches\": {}, \
-                     \"busy_ns\": {}, \"idle_ns\": {}, \
-                     \"occupancy\": {:.4}}}",
-                    w.shard,
-                    w.jobs,
-                    w.batches,
-                    w.keys,
-                    w.matches,
-                    w.size_flushes,
-                    w.deadline_flushes,
-                    w.shutdown_flushes,
-                    w.write_ops,
-                    w.write_applied,
-                    w.write_batches,
-                    w.busy.as_nanos(),
-                    w.idle.as_nanos(),
-                    w.occupancy()
-                ));
+        out.push_str(" \"workers\": [");
+        for (i, w) in self.workers.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            out.push_str("],");
+            out.push_str(&format!(
+                " {{\"shard\": {}, \"jobs\": {}, \"batches\": {}, \"keys\": {}, \
+                 \"matches\": {}, \"scan_cursors\": {}, \"scan_entries\": {}, \
+                 \"size_flushes\": {}, \"deadline_flushes\": {}, \
+                 \"shutdown_flushes\": {}, \"write_ops\": {}, \
+                 \"write_applied\": {}, \"write_batches\": {}, \
+                 \"busy_ns\": {}, \"idle_ns\": {}, \
+                 \"occupancy\": {:.4}}}",
+                w.shard,
+                w.jobs,
+                w.batches,
+                w.keys,
+                w.matches,
+                w.scan_cursors,
+                w.scan_entries,
+                w.size_flushes,
+                w.deadline_flushes,
+                w.shutdown_flushes,
+                w.write_ops,
+                w.write_applied,
+                w.write_batches,
+                w.busy.as_nanos(),
+                w.idle.as_nanos(),
+                w.occupancy()
+            ));
         }
+        out.push_str("],");
         out.push_str(&format!(
             " \"net\": {{\"connections\": {}, \"frames_in\": {}, \"frames_out\": {}, \
              \"busy_rejects\": {}, \"decode_errors\": {}, \"open_connections\": {}, \
@@ -528,16 +529,20 @@ impl ServiceStats {
         p.help("widx_wall_seconds", "Service uptime at snapshot time.")
             .type_("widx_wall_seconds", "gauge")
             .sample("widx_wall_seconds", &[], self.wall.as_secs_f64());
+        p.help("widx_worker_keys_total", "Keys probed per worker.")
+            .type_("widx_worker_keys_total", "counter");
+        p.help("widx_worker_matches_total", "Matches emitted per worker.")
+            .type_("widx_worker_matches_total", "counter");
         p.help(
-            "widx_worker_keys_total",
-            "Keys probed / scan cursors fed per worker.",
+            "widx_worker_scan_cursors_total",
+            "Range-scan cursors fed per worker.",
         )
-        .type_("widx_worker_keys_total", "counter");
+        .type_("widx_worker_scan_cursors_total", "counter");
         p.help(
-            "widx_worker_matches_total",
-            "Matches / scan entries emitted per worker.",
+            "widx_worker_scan_entries_total",
+            "Range-scan entries emitted per worker.",
         )
-        .type_("widx_worker_matches_total", "counter");
+        .type_("widx_worker_scan_entries_total", "counter");
         p.help("widx_worker_batches_total", "Batches flushed per worker.")
             .type_("widx_worker_batches_total", "counter");
         p.help(
@@ -560,18 +565,18 @@ impl ServiceStats {
             "Write barriers executed per worker.",
         )
         .type_("widx_write_batches_total", "counter");
-        for (tier, workers) in [("point", &self.workers), ("range", &self.range_workers)] {
-            for w in workers.iter() {
-                let shard = w.shard.to_string();
-                let labels = [("tier", tier), ("shard", shard.as_str())];
-                p.sample_u64("widx_worker_keys_total", &labels, w.keys);
-                p.sample_u64("widx_worker_matches_total", &labels, w.matches);
-                p.sample_u64("widx_worker_batches_total", &labels, w.batches);
-                p.sample("widx_worker_occupancy", &labels, w.occupancy());
-                p.sample_u64("widx_write_ops_total", &labels, w.write_ops);
-                p.sample_u64("widx_write_applied_total", &labels, w.write_applied);
-                p.sample_u64("widx_write_batches_total", &labels, w.write_batches);
-            }
+        for w in &self.workers {
+            let shard = w.shard.to_string();
+            let labels = [("shard", shard.as_str())];
+            p.sample_u64("widx_worker_keys_total", &labels, w.keys);
+            p.sample_u64("widx_worker_matches_total", &labels, w.matches);
+            p.sample_u64("widx_worker_scan_cursors_total", &labels, w.scan_cursors);
+            p.sample_u64("widx_worker_scan_entries_total", &labels, w.scan_entries);
+            p.sample_u64("widx_worker_batches_total", &labels, w.batches);
+            p.sample("widx_worker_occupancy", &labels, w.occupancy());
+            p.sample_u64("widx_write_ops_total", &labels, w.write_ops);
+            p.sample_u64("widx_write_applied_total", &labels, w.write_applied);
+            p.sample_u64("widx_write_batches_total", &labels, w.write_batches);
         }
         p.help(
             "widx_request_latency_ns",
@@ -856,8 +861,9 @@ mod tests {
             shard: 0,
             jobs: 10,
             batches: 4,
-            keys: 100,
+            keys: 70,
             matches: 80,
+            scan_cursors: 30,
             busy: Duration::from_millis(30),
             idle: Duration::from_millis(10),
             ..WorkerStats::default()
@@ -928,19 +934,17 @@ mod tests {
                     ..WorkerStats::default()
                 },
                 WorkerStats {
+                    shard: 1,
                     keys: 40,
                     matches: 30,
+                    scan_cursors: 6,
+                    scan_entries: 90,
                     write_ops: 8,
                     write_applied: 8,
                     write_batches: 2,
                     ..WorkerStats::default()
                 },
             ],
-            range_workers: vec![WorkerStats {
-                keys: 6,
-                matches: 90,
-                ..WorkerStats::default()
-            }],
             latency: LatencySummary::default(),
             stages: StageStats::default(),
             net: NetStats::default(),
@@ -984,11 +988,12 @@ mod tests {
         );
 
         let prom = stats.render_prometheus();
-        assert!(prom.contains("widx_worker_keys_total{tier=\"point\",shard=\"0\"} 60"));
-        assert!(prom.contains("widx_worker_matches_total{tier=\"range\",shard=\"0\"} 90"));
-        assert!(prom.contains("widx_write_ops_total{tier=\"point\",shard=\"0\"} 12"));
-        assert!(prom.contains("widx_write_applied_total{tier=\"point\",shard=\"0\"} 9"));
-        assert!(prom.contains("widx_write_batches_total{tier=\"range\",shard=\"0\"} 0"));
+        assert!(prom.contains("widx_worker_keys_total{shard=\"0\"} 60"));
+        assert!(prom.contains("widx_worker_scan_entries_total{shard=\"1\"} 90"));
+        assert!(prom.contains("widx_worker_scan_cursors_total{shard=\"0\"} 0"));
+        assert!(prom.contains("widx_write_ops_total{shard=\"0\"} 12"));
+        assert!(prom.contains("widx_write_applied_total{shard=\"0\"} 9"));
+        assert!(prom.contains("widx_write_batches_total{shard=\"1\"} 2"));
         assert!(prom.contains("widx_stage_ns_count{stage=\"write\"} 0"));
         assert!(prom.contains("# TYPE widx_request_latency_ns summary"));
         assert!(prom.contains("widx_stage_ns_count{stage=\"walk\"} 0"));
@@ -1035,7 +1040,6 @@ mod tests {
         };
         let stats = ServiceStats {
             workers: vec![],
-            range_workers: vec![],
             latency: LatencySummary::default(),
             stages: StageStats::default(),
             net: NetStats::default(),
@@ -1088,7 +1092,6 @@ mod tests {
     fn per_reactor_gauges_render_in_json_and_prometheus() {
         let stats = ServiceStats {
             workers: vec![],
-            range_workers: vec![],
             latency: LatencySummary::default(),
             stages: StageStats::default(),
             net: NetStats {

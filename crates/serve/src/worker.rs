@@ -1,12 +1,13 @@
-//! The shard workers: one thread per shard, draining a bounded queue
-//! into batches and driving a resumable walker over them — software
-//! "four walkers behind one dispatcher", where the dispatcher is the
-//! shard router and the walker count is the in-flight depth.
+//! The shard workers: one thread per key range, draining a bounded
+//! queue into batches and driving resumable walkers over them —
+//! software "four walkers behind one dispatcher", where the dispatcher
+//! is the shard router and the walker count is the in-flight depth.
 //!
-//! Two worker flavours share the batching skeleton: *point* workers
-//! drive an [`AmacWalker`] over a hash shard, *range* workers drive a
-//! [`BTreeRangeWalker`] over an ordered (B+-tree) shard, keeping several
-//! resumable scan cursors in flight per batch.
+//! A worker owns both tiers of its key range: hash shard `i`, which an
+//! [`AmacWalker`] probes, and — when the service has an ordered tier —
+//! B+-tree shard `i`, which a [`BTreeRangeWalker`] scans with several
+//! resumable cursors in flight. One batch holds both read guards and
+//! feeds probes and scans to their walkers side by side.
 //!
 //! Workers own no private counters: everything is published straight
 //! into the worker's lock-free [`WorkerCell`] (plus the shared
@@ -16,19 +17,23 @@
 //! # Writes
 //!
 //! The serving tier is mutable: each worker is the *sole writer* for
-//! its shard. Walker batches run under the shard's read guard;
-//! [`Job::Write`] batches are applied under the write guard at batch
-//! barriers (never mid-batch). The walker is built per batch and
-//! borrows the read guard, so no traversal state survives into a
-//! barrier: the indexes free unlinked nodes on the spot. The shard lock
-//! is structurally uncontended — its job is memory-model visibility,
-//! not writer arbitration.
+//! its key range. Walker batches run under the read guards;
+//! [`Job::Write`] parts are applied to both indexes under both write
+//! guards at batch barriers (never mid-batch), and acked from that one
+//! part. The walkers are built per batch and borrow the read guards, so
+//! no traversal state survives into a barrier: the indexes free
+//! unlinked nodes on the spot. Because one thread applies every write
+//! of a key range and serves every read of it, a read issued after
+//! another read returned never sees an older state, whichever tier
+//! either read used. The shard locks are structurally uncontended —
+//! their job is memory-model visibility, not writer arbitration.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use widx_db::index::{BTreeIndex, HashIndex};
 use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, TraceStage, WorkerCell};
-use widx_soft::{AmacWalker, BTreeRangeWalker, ScanRange};
+use widx_soft::{AmacWalker, BTreeRangeWalker};
 
 use crate::batch::{BatchPolicy, FlushReason};
 use crate::ordered::OrderedShardedIndex;
@@ -36,13 +41,18 @@ use crate::queue::{Job, ShardQueue};
 use crate::request::{ResponseState, RoutedMatch, WriteOp};
 use crate::shard::ShardedIndex;
 
-/// Everything a point-probe worker thread needs.
+/// Everything a shard worker thread needs.
 pub(crate) struct WorkerContext {
     pub(crate) shard: usize,
     pub(crate) queue: Arc<ShardQueue>,
     pub(crate) sharded: Arc<ShardedIndex>,
+    /// The ordered tier, when the service has one; its shard `shard`
+    /// covers the same key range as the hash shard.
+    pub(crate) ordered: Option<Arc<OrderedShardedIndex>>,
     pub(crate) policy: BatchPolicy,
     pub(crate) inflight: usize,
+    /// Entries per chunk pushed to the seam on streaming scans.
+    pub(crate) stream_chunk: usize,
     /// This worker's registry cell — the single home of its counters.
     pub(crate) cell: Arc<WorkerCell>,
     /// The service-wide stage-timing seam.
@@ -53,38 +63,19 @@ pub(crate) struct WorkerContext {
     pub(crate) prof: Option<Arc<ProfCell>>,
 }
 
-/// Everything a range-scan worker thread needs.
-pub(crate) struct RangeWorkerContext {
-    pub(crate) shard: usize,
-    pub(crate) queue: Arc<ShardQueue>,
-    pub(crate) ordered: Arc<OrderedShardedIndex>,
-    pub(crate) policy: BatchPolicy,
-    pub(crate) inflight: usize,
-    /// Entries per chunk pushed to the seam on streaming scans.
-    pub(crate) stream_chunk: usize,
-    /// This worker's registry cell — the single home of its counters.
-    pub(crate) cell: Arc<WorkerCell>,
-    /// The service-wide stage-timing seam.
-    pub(crate) stages: Arc<StageTimes>,
-    /// Hardware-profiling cell, when the service enabled profiling.
-    pub(crate) prof: Option<Arc<ProfCell>>,
-}
-
 /// A write part stashed mid-batch, applied at the next batch barrier.
-pub(crate) struct WriteJob {
+struct WriteJob {
     ops: Vec<(u32, WriteOp)>,
-    ack: bool,
     reply: Arc<ResponseState>,
 }
 
 /// Anything a write barrier can mutate: both index flavours expose the
-/// same insert/delete/update surface, so one barrier routine serves
-/// both worker kinds.
+/// same insert/delete/update surface.
 trait WriteTarget {
     fn apply(&mut self, op: WriteOp) -> bool;
 }
 
-impl WriteTarget for widx_db::index::HashIndex {
+impl WriteTarget for HashIndex {
     fn apply(&mut self, op: WriteOp) -> bool {
         match op {
             WriteOp::Insert { key, payload } => {
@@ -97,7 +88,7 @@ impl WriteTarget for widx_db::index::HashIndex {
     }
 }
 
-impl WriteTarget for widx_db::index::BTreeIndex {
+impl WriteTarget for BTreeIndex {
     fn apply(&mut self, op: WriteOp) -> bool {
         match op {
             WriteOp::Insert { key, payload } => {
@@ -110,53 +101,47 @@ impl WriteTarget for widx_db::index::BTreeIndex {
     }
 }
 
-/// Applies stashed write parts under the caller's write guard — the
-/// batch barrier. Per part: apply every op, publish the write counters
-/// *before* completing the part (a caller whose `wait()` returned must
-/// find the write counted by a `live_stats()` scrape), ack `(op, key,
-/// applied)` rows when this tier is authoritative.
-fn apply_write_barrier<T: WriteTarget>(
-    shard: usize,
-    target: &mut T,
-    jobs: Vec<WriteJob>,
-    cell: &WorkerCell,
-    stages: &StageTimes,
-    prof: &mut ThreadProfiler,
-) {
-    debug_assert!(!jobs.is_empty(), "empty write barrier");
+/// Applies stashed write parts to both of the worker's indexes under
+/// their write guards — the batch barrier. Per part: apply every op to
+/// each tier, publish the write counters *before* completing the part
+/// (a caller whose `wait()` returned must find the write counted by a
+/// `live_stats()` scrape), and ack `(op, key, applied)` rows. The hash
+/// tier's result is the ack; both tiers hold the same entries, so the
+/// B+-tree agrees.
+fn apply_writes(ctx: &WorkerContext, jobs: Vec<WriteJob>, prof: &mut ThreadProfiler) {
     let mark = prof.mark();
     let barrier_from = Instant::now();
+    let mut hash = ctx.sharded.write(ctx.shard);
+    let mut tree = ctx.ordered.as_ref().map(|o| o.write(ctx.shard));
     for job in jobs {
-        cell.add_jobs(1);
-        stages.record(Stage::QueueWait, job.reply.since_submit());
+        ctx.cell.add_jobs(1);
+        ctx.stages
+            .record(Stage::QueueWait, job.reply.since_submit());
         let opened = Instant::now();
-        let mut items: Vec<RoutedMatch> = Vec::new();
         let total = job.ops.len() as u64;
-        let mut applied_total = 0u64;
+        let mut acks: Vec<RoutedMatch> = Vec::with_capacity(job.ops.len());
         for (op_idx, op) in job.ops {
-            let key = op.key();
-            let applied = target.apply(op);
-            applied_total += u64::from(applied);
-            if job.ack {
-                items.push((op_idx, key, u64::from(applied)));
+            let applied = hash.apply(op);
+            if let Some(tree) = &mut tree {
+                tree.apply(op);
             }
+            acks.push((op_idx, op.key(), u64::from(applied)));
         }
+        let applied: u64 = acks.iter().map(|(_, _, applied)| applied).sum();
         let took = opened.elapsed();
-        stages.record(Stage::Write, took);
-        cell.add_write_batch(total, applied_total);
-        if job.ack {
-            cell.add_matches(applied_total);
-        }
+        ctx.stages.record(Stage::Write, took);
+        ctx.cell.add_write_batch(total, applied);
+        ctx.cell.add_matches(applied);
         if job.reply.is_traced() {
             job.reply.trace_annotate(|trace, submitted| {
-                trace.add_shard(shard as u32);
+                trace.add_shard(ctx.shard as u32);
                 trace.span_between(TraceStage::QueueWait, submitted, opened);
                 trace.span_for(TraceStage::Write, opened, took);
             });
         }
-        job.reply.complete_part(&items, Some(cell));
+        job.reply.complete_part(&acks, Some(&ctx.cell));
     }
-    cell.add_busy(barrier_from.elapsed());
+    ctx.cell.add_busy(barrier_from.elapsed());
     prof.record(Stage::Write, mark);
 }
 
@@ -178,60 +163,136 @@ fn flush_kind(reason: FlushReason) -> FlushKind {
     }
 }
 
-/// A request shard-part participating in the worker's open batch.
-struct OpenJob {
+/// A request shard-part participating in the worker's open batch: a
+/// probe part or a scan part. Streaming scan parts push chunks to the
+/// seam as their cursors yield; every other part accumulates `items`.
+struct OpenPart {
     reply: Arc<ResponseState>,
-    items: Vec<RoutedMatch>,
-    /// When this part was admitted into the batch (trace span seam).
-    admitted: Instant,
-}
-
-/// A scan shard-part participating in a range worker's open batch.
-/// Streaming parts push chunks to the seam as their cursors yield;
-/// buffered parts accumulate `items` like point jobs do.
-struct OpenScan {
-    reply: Arc<ResponseState>,
+    scan: bool,
     streaming: bool,
     items: Vec<RoutedMatch>,
     /// When this part was admitted into the batch (trace span seam).
     admitted: Instant,
-    /// Scatter ranks of this part's cursors (streaming completion is
-    /// per rank).
+    /// Scatter ranks of a scan part's cursors (a streaming part
+    /// completes per rank).
     ranks: Vec<u32>,
     /// Entries emitted for this part, streamed chunks included.
     emitted: u64,
 }
 
-/// Routes one walker emission to its request: buffered parts
-/// accumulate, streaming parts build a chunk and push it to the gather
-/// seam every `chunk_size` entries — this mid-batch flush is what makes
-/// a long scan's first entries reach the client while the walker ring
-/// is still running.
-fn attribute_scan(
-    meta: &[(u32, u32)],
-    open: &mut [OpenScan],
-    chunks: &mut [Vec<(u64, u64)>],
+/// Where walker emissions land: the open parts, and the tag map that
+/// routes each emission to its part. One tag space covers both walkers.
+struct Sink {
+    /// tag → (open-part index, probe row or scatter rank).
+    meta: Vec<(u32, u32)>,
+    open: Vec<OpenPart>,
+    /// tag → the streaming chunk being built (only scan tags have one).
+    chunks: Vec<Vec<(u64, u64)>>,
     chunk_size: usize,
-    tag: u32,
-    key: u64,
-    payload: u64,
-) {
-    let (open_idx, rank) = meta[tag as usize];
-    let job = &mut open[open_idx as usize];
-    job.emitted += 1;
-    if job.streaming {
-        let buf = &mut chunks[tag as usize];
+}
+
+impl Sink {
+    /// Allocates the next tag for row `row` of open part `part`.
+    fn tag(&mut self, part: u32, row: u32) -> u32 {
+        let tag = u32::try_from(self.meta.len()).expect("batch exceeds u32 tags");
+        self.meta.push((part, row));
+        tag
+    }
+
+    /// Routes one walker emission to its request: buffered parts
+    /// accumulate, streaming parts build a chunk and push it to the
+    /// gather seam every `chunk_size` entries — this mid-batch flush is
+    /// what makes a long scan's first entries reach the client while
+    /// the walker ring is still running.
+    fn emit(&mut self, tag: u32, key: u64, payload: u64) {
+        let (part, row) = self.meta[tag as usize];
+        let part = &mut self.open[part as usize];
+        part.emitted += 1;
+        if !part.streaming {
+            part.items.push((row, key, payload));
+            return;
+        }
+        let buf = &mut self.chunks[tag as usize];
         buf.push((key, payload));
-        if buf.len() >= chunk_size {
+        if buf.len() >= self.chunk_size {
             // The seam hands back a consumed chunk's buffer when it has
             // one: a long scan settles into a closed loop of recycled
             // allocations instead of one fresh `Vec` per chunk.
-            if let Some(spare) = job.reply.push_chunk(rank, std::mem::take(buf)) {
+            if let Some(spare) = part.reply.push_chunk(row, std::mem::take(buf)) {
                 *buf = spare;
             }
         }
-    } else {
-        job.items.push((rank, key, payload));
+    }
+}
+
+/// One open batch: the two walkers (each borrowing its read guard),
+/// where their emissions go, and the work admitted so far.
+struct Batch<'g> {
+    probes: AmacWalker<'g>,
+    /// `None` when the service has no ordered tier.
+    scans: Option<BTreeRangeWalker<'g>>,
+    sink: Sink,
+    keys: u64,
+    cursors: u64,
+    /// Time spent feeding and draining the walkers.
+    busy: Duration,
+}
+
+impl<'g> Batch<'g> {
+    /// Admits one probe or scan part: feeds its keys or ranges to the
+    /// matching walker.
+    fn admit(
+        &mut self,
+        job: Job,
+        cell: &WorkerCell,
+        stages: &StageTimes,
+        prof: &mut ThreadProfiler,
+    ) {
+        let (reply, keys, ranges) = match job {
+            Job::Probe { entries, reply } => (reply, entries, Vec::new()),
+            Job::Scan { scans, reply } => (reply, Vec::new(), scans),
+            Job::Write { .. } | Job::Poison { .. } => unreachable!("only reads join a batch"),
+        };
+        cell.add_jobs(1);
+        stages.record(Stage::QueueWait, reply.since_submit());
+        if keys.is_empty() && ranges.is_empty() {
+            // Defensive: never strand an empty part. (The planner never
+            // scatters an empty streaming part.)
+            debug_assert!(!reply.is_streaming(), "empty streaming shard-part");
+            reply.complete_part(&[], Some(cell));
+            return;
+        }
+        let busy_from = Instant::now();
+        let mark = prof.mark();
+        let part = self.sink.open.len() as u32;
+        self.sink.open.push(OpenPart {
+            scan: !ranges.is_empty(),
+            streaming: reply.is_streaming(),
+            reply,
+            items: Vec::new(),
+            admitted: Instant::now(),
+            ranks: Vec::new(),
+            emitted: 0,
+        });
+        self.keys += keys.len() as u64;
+        for (row, key) in keys {
+            let tag = self.sink.tag(part, row);
+            self.probes
+                .feed(tag, key, &mut |t, k, p| self.sink.emit(t, k, p));
+        }
+        self.cursors += ranges.len() as u64;
+        for (rank, range) in ranges {
+            let tag = self.sink.tag(part, rank);
+            self.sink.chunks.resize_with(tag as usize + 1, Vec::new);
+            self.sink.open[part as usize].ranks.push(rank);
+            let walker = self
+                .scans
+                .as_mut()
+                .expect("scan routed to a worker without an ordered shard");
+            walker.feed(tag, range, &mut |t, k, p| self.sink.emit(t, k, p));
+        }
+        prof.record(Stage::Walk, mark);
+        self.busy += busy_from.elapsed();
     }
 }
 
@@ -253,66 +314,49 @@ pub(crate) fn run_worker(ctx: &WorkerContext) {
         prof.record(Stage::QueueWait, mark);
         ctx.cell.add_idle(idle_from.elapsed());
 
-        let (entries, reply) = match first {
-            Job::Probe { entries, reply } => (entries, reply),
-            Job::Scan { .. } => unreachable!("scan job routed to a point-probe queue"),
-            Job::Write { ops, ack, reply } => {
-                // A write opening a batch is its own barrier: apply it
-                // immediately under the write guard (nothing is reading
-                // — this worker is the shard's only writer and its only
-                // walker driver).
-                let jobs = vec![WriteJob { ops, ack, reply }];
-                let mut guard = ctx.sharded.write(ctx.shard);
-                apply_write_barrier(
-                    ctx.shard,
-                    &mut *guard,
-                    jobs,
-                    &ctx.cell,
-                    &ctx.stages,
-                    &mut prof,
-                );
-                continue;
+        let mut writes: Vec<WriteJob> = Vec::new();
+        let shutdown = match first {
+            // A write opening a batch is its own barrier: nothing is
+            // reading — this worker is the range's only writer and its
+            // only walker driver.
+            Job::Write { ops, reply } => {
+                writes.push(WriteJob { ops, reply });
+                false
             }
             Job::Poison { key } => {
                 debug_assert_eq!(key, widx_core::POISON_KEY);
                 break; // Poison with an empty batch: halt immediately.
             }
+            read => {
+                // Walker batch: hold both read guards for the batch's
+                // whole lifetime, so nothing mutates (or frees a node)
+                // under an in-flight ring. The walkers are rebuilt per
+                // batch — they borrow the guards.
+                let hash = ctx.sharded.read(ctx.shard);
+                let tree = ctx.ordered.as_ref().map(|o| o.read(ctx.shard));
+                let mut batch = Batch {
+                    probes: AmacWalker::new(&hash, ctx.inflight),
+                    scans: tree
+                        .as_deref()
+                        .map(|tree| BTreeRangeWalker::new(tree, ctx.inflight)),
+                    sink: Sink {
+                        meta: Vec::new(),
+                        open: Vec::new(),
+                        chunks: Vec::new(),
+                        chunk_size: ctx.stream_chunk,
+                    },
+                    keys: 0,
+                    cursors: 0,
+                    busy: Duration::ZERO,
+                };
+                run_batch(ctx, &mut batch, read, &mut writes, &mut prof)
+            }
         };
-
-        // Walker batch: hold the shard's read guard for the batch's
-        // whole lifetime, so nothing mutates (or frees a node) under
-        // the in-flight AMAC ring. The walker is rebuilt per batch — it
-        // borrows the guard.
-        let mut writes: Vec<WriteJob> = Vec::new();
-        let shutdown = {
-            let guard = ctx.sharded.read(ctx.shard);
-            let mut walker = AmacWalker::new(&guard, ctx.inflight);
-            run_batch(
-                ctx.shard,
-                &ctx.queue,
-                &ctx.policy,
-                &mut walker,
-                entries,
-                reply,
-                &mut writes,
-                &ctx.cell,
-                &ctx.stages,
-                &mut prof,
-            )
-        };
-        // Batch barrier: the read guard is gone; apply every write the
+        // Batch barrier: the read guards are gone; apply every write the
         // batch loop stashed (shutdown included — queued writes always
         // land before the final snapshot).
         if !writes.is_empty() {
-            let mut guard = ctx.sharded.write(ctx.shard);
-            apply_write_barrier(
-                ctx.shard,
-                &mut *guard,
-                writes,
-                &ctx.cell,
-                &ctx.stages,
-                &mut prof,
-            );
+            apply_writes(ctx, writes, &mut prof);
         }
         if shutdown {
             break;
@@ -320,369 +364,109 @@ pub(crate) fn run_worker(ctx: &WorkerContext) {
     }
 }
 
-/// Assembles and drains one batch starting from `first_*`. Returns true
-/// when the poison pill arrived and the worker must halt after this
-/// batch.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+/// Assembles and drains one batch starting from `first`. Emissions are
+/// attributed to their request *as they happen*, so streaming parts can
+/// flush chunks to the gather seam while other cursors in the ring are
+/// still descending. Returns true when the poison pill arrived and the
+/// worker must halt after this batch.
 fn run_batch(
-    shard: usize,
-    queue: &ShardQueue,
-    policy: &BatchPolicy,
-    walker: &mut AmacWalker<'_>,
-    first_entries: Vec<(u32, u64)>,
-    first_reply: Arc<ResponseState>,
+    ctx: &WorkerContext,
+    batch: &mut Batch<'_>,
+    first: Job,
     writes: &mut Vec<WriteJob>,
-    cell: &WorkerCell,
-    stages: &StageTimes,
     prof: &mut ThreadProfiler,
 ) -> bool {
+    let (cell, stages) = (&*ctx.cell, &*ctx.stages);
     let opened = Instant::now();
-    // tag (u32, index into `meta`) → (open-job index, probe row).
-    let mut meta: Vec<(u32, u32)> = Vec::new();
-    let mut open: Vec<OpenJob> = Vec::new();
-    let mut raw: Vec<(u32, u64, u64)> = Vec::new();
-    let mut busy = Duration::ZERO;
     let mut shutdown = false;
+    batch.admit(first, cell, stages, prof);
 
-    let admit = |entries: Vec<(u32, u64)>,
-                 reply: Arc<ResponseState>,
-                 meta: &mut Vec<(u32, u32)>,
-                 open: &mut Vec<OpenJob>,
-                 raw: &mut Vec<(u32, u64, u64)>,
-                 walker: &mut AmacWalker<'_>,
-                 busy: &mut Duration,
-                 prof: &mut ThreadProfiler| {
-        cell.add_jobs(1);
-        stages.record(Stage::QueueWait, reply.since_submit());
-        if entries.is_empty() {
-            // Defensive: never strand a zero-key part.
-            reply.complete_part(&[], Some(cell));
-            return;
-        }
-        let open_idx = open.len() as u32;
-        open.push(OpenJob {
-            reply,
-            items: Vec::new(),
-            admitted: Instant::now(),
-        });
-        let busy_from = Instant::now();
-        let mark = prof.mark();
-        for (row, key) in entries {
-            let tag = u32::try_from(meta.len()).expect("batch exceeds u32 tags");
-            meta.push((open_idx, row));
-            walker.feed(tag, key, &mut |t, k, p| raw.push((t, k, p)));
-        }
-        prof.record(Stage::Walk, mark);
-        *busy += busy_from.elapsed();
-    };
-
-    admit(
-        first_entries,
-        first_reply,
-        &mut meta,
-        &mut open,
-        &mut raw,
-        walker,
-        &mut busy,
-        prof,
-    );
-
-    // Keep admitting until the policy closes the batch.
+    // Keep admitting until the policy closes the batch. Probe keys and
+    // scan cursors both count toward the size flush.
     let reason = loop {
-        if let Some(reason) = policy.flush_due(meta.len(), opened) {
+        if let Some(reason) = ctx.policy.flush_due(batch.sink.meta.len(), opened) {
             break reason;
         }
         let idle_from = Instant::now();
         let mark = prof.mark();
-        let next = queue.pop_until(policy.flush_deadline(opened));
+        let next = ctx.queue.pop_until(ctx.policy.flush_deadline(opened));
         prof.record(Stage::BatchWait, mark);
         cell.add_idle(idle_from.elapsed());
         match next {
-            Some(Job::Probe { entries, reply }) => {
-                admit(
-                    entries, reply, &mut meta, &mut open, &mut raw, walker, &mut busy, prof,
-                );
-            }
-            Some(Job::Scan { .. }) => unreachable!("scan job routed to a point-probe queue"),
-            Some(Job::Write { ops, ack, reply }) => {
+            Some(Job::Write { ops, reply }) => {
                 // Writes never interleave into an open walker batch:
                 // stash for the barrier right after this batch closes.
-                writes.push(WriteJob { ops, ack, reply });
+                writes.push(WriteJob { ops, reply });
             }
             Some(Job::Poison { .. }) => {
                 shutdown = true;
                 break FlushReason::Shutdown;
             }
+            Some(read) => batch.admit(read, cell, stages, prof),
             None => break FlushReason::Deadline,
         }
     };
     stages.record(Stage::BatchWait, opened.elapsed());
 
-    // Drain every in-flight probe, then attribute matches to requests.
+    // Drain both rings: emissions attribute inline, in emit order, so
+    // each scan tag's slice (and chunk sequence) stays key-ordered —
+    // the invariant the gather side's rank-ordered release relies on.
     let busy_from = Instant::now();
     let mark = prof.mark();
-    walker.drain(&mut |t, k, p| raw.push((t, k, p)));
+    let sink = &mut batch.sink;
+    batch.probes.drain(&mut |t, k, p| sink.emit(t, k, p));
+    if let Some(scans) = &mut batch.scans {
+        scans.drain(&mut |t, k, p| sink.emit(t, k, p));
+    }
     prof.record(Stage::Walk, mark);
-    busy += busy_from.elapsed();
+    batch.busy += busy_from.elapsed();
 
-    for (tag, key, payload) in raw.drain(..) {
-        let (open_idx, row) = meta[tag as usize];
-        open[open_idx as usize].items.push((row, key, payload));
-    }
-    cell.add_batch(meta.len() as u64, flush_kind(reason));
-    cell.add_busy(busy);
-    stages.record(Stage::Walk, busy);
-    let batch_done = Instant::now();
-    let walk_counters = walker.take_counters();
-    prof.add_walk(&walk_counters);
-    let gather_mark = prof.mark();
-    for job in &open {
-        cell.add_matches(job.items.len() as u64);
-        if job.reply.is_traced() {
-            job.reply.trace_annotate(|trace, submitted| {
-                trace.add_shard(shard as u32);
-                trace.span_between(TraceStage::QueueWait, submitted, job.admitted);
-                trace.span_between(TraceStage::BatchWait, job.admitted, batch_done);
-                trace.span_for(TraceStage::Walk, opened, busy);
-                trace.add_walk(&walk_counters);
-            });
-        }
-        job.reply.complete_part(&job.items, Some(cell));
-    }
-    prof.record(Stage::Gather, gather_mark);
-    shutdown
-}
-
-/// The range-worker thread body: identical drain-batches-until-poison
-/// loop, but the walker is a ring of resumable B+-tree scan cursors
-/// over this worker's ordered shard.
-pub(crate) fn run_range_worker(ctx: &RangeWorkerContext) {
-    let mut prof = attach_profiler(&ctx.prof);
-
-    loop {
-        let idle_from = Instant::now();
-        let mark = prof.mark();
-        let first = ctx.queue.pop();
-        prof.record(Stage::QueueWait, mark);
-        ctx.cell.add_idle(idle_from.elapsed());
-
-        let (scans, reply) = match first {
-            Job::Scan { scans, reply } => (scans, reply),
-            Job::Probe { .. } => unreachable!("probe job routed to a range queue"),
-            Job::Write { ops, ack, reply } => {
-                let jobs = vec![WriteJob { ops, ack, reply }];
-                let mut guard = ctx.ordered.write(ctx.shard);
-                apply_write_barrier(
-                    ctx.shard,
-                    &mut *guard,
-                    jobs,
-                    &ctx.cell,
-                    &ctx.stages,
-                    &mut prof,
-                );
-                continue;
-            }
-            Job::Poison { key } => {
-                debug_assert_eq!(key, widx_core::POISON_KEY);
-                break;
-            }
-        };
-
-        let mut writes: Vec<WriteJob> = Vec::new();
-        let shutdown = {
-            let guard = ctx.ordered.read(ctx.shard);
-            let mut walker = BTreeRangeWalker::new(&guard, ctx.inflight);
-            run_range_batch(
-                ctx.shard,
-                &ctx.queue,
-                &ctx.policy,
-                &mut walker,
-                scans,
-                reply,
-                &mut writes,
-                ctx.stream_chunk,
-                &ctx.cell,
-                &ctx.stages,
-                &mut prof,
-            )
-        };
-        if !writes.is_empty() {
-            let mut guard = ctx.ordered.write(ctx.shard);
-            apply_write_barrier(
-                ctx.shard,
-                &mut *guard,
-                writes,
-                &ctx.cell,
-                &ctx.stages,
-                &mut prof,
-            );
-        }
-        if shutdown {
-            break;
-        }
-    }
-}
-
-/// Assembles and drains one batch of scan cursors. Emissions are
-/// attributed to their request *as they happen* (not at batch close),
-/// so streaming parts can flush chunks to the gather seam while other
-/// cursors in the ring are still descending. Returns true when the
-/// poison pill arrived and the worker must halt after this batch.
-#[allow(clippy::too_many_arguments)]
-fn run_range_batch(
-    shard: usize,
-    queue: &ShardQueue,
-    policy: &BatchPolicy,
-    walker: &mut BTreeRangeWalker<'_>,
-    first_scans: Vec<(u32, ScanRange)>,
-    first_reply: Arc<ResponseState>,
-    writes: &mut Vec<WriteJob>,
-    chunk_size: usize,
-    cell: &WorkerCell,
-    stages: &StageTimes,
-    prof: &mut ThreadProfiler,
-) -> bool {
-    let opened = Instant::now();
-    // tag (index into `meta`) → (open-job index, scatter rank).
-    let mut meta: Vec<(u32, u32)> = Vec::new();
-    let mut open: Vec<OpenScan> = Vec::new();
-    // tag → the streaming chunk being built (unused by buffered tags).
-    let mut chunks: Vec<Vec<(u64, u64)>> = Vec::new();
-    let mut busy = Duration::ZERO;
-    let mut shutdown = false;
-
-    let admit = |scans: Vec<(u32, ScanRange)>,
-                 reply: Arc<ResponseState>,
-                 meta: &mut Vec<(u32, u32)>,
-                 open: &mut Vec<OpenScan>,
-                 chunks: &mut Vec<Vec<(u64, u64)>>,
-                 walker: &mut BTreeRangeWalker<'_>,
-                 busy: &mut Duration,
-                 prof: &mut ThreadProfiler| {
-        cell.add_jobs(1);
-        stages.record(Stage::QueueWait, reply.since_submit());
-        if scans.is_empty() {
-            // Defensive: never strand a zero-cursor part. (The planner
-            // never scatters an empty streaming part.)
-            debug_assert!(!reply.is_streaming(), "empty streaming shard-part");
-            reply.complete_part(&[], Some(cell));
-            return;
-        }
-        let streaming = reply.is_streaming();
-        let open_idx = open.len() as u32;
-        open.push(OpenScan {
-            reply,
-            streaming,
-            items: Vec::new(),
-            admitted: Instant::now(),
-            ranks: Vec::new(),
-            emitted: 0,
-        });
-        let busy_from = Instant::now();
-        let mark = prof.mark();
-        for (rank, range) in scans {
-            let tag = u32::try_from(meta.len()).expect("batch exceeds u32 tags");
-            meta.push((open_idx, rank));
-            chunks.push(Vec::new());
-            open[open_idx as usize].ranks.push(rank);
-            walker.feed(tag, range, &mut |t, k, p| {
-                attribute_scan(meta, open, chunks, chunk_size, t, k, p);
-            });
-        }
-        prof.record(Stage::Walk, mark);
-        *busy += busy_from.elapsed();
-    };
-
-    admit(
-        first_scans,
-        first_reply,
-        &mut meta,
-        &mut open,
-        &mut chunks,
-        walker,
-        &mut busy,
-        prof,
-    );
-
-    let reason = loop {
-        if let Some(reason) = policy.flush_due(meta.len(), opened) {
-            break reason;
-        }
-        let idle_from = Instant::now();
-        let mark = prof.mark();
-        let next = queue.pop_until(policy.flush_deadline(opened));
-        prof.record(Stage::BatchWait, mark);
-        cell.add_idle(idle_from.elapsed());
-        match next {
-            Some(Job::Scan { scans, reply }) => {
-                admit(
-                    scans,
-                    reply,
-                    &mut meta,
-                    &mut open,
-                    &mut chunks,
-                    walker,
-                    &mut busy,
-                    prof,
-                );
-            }
-            Some(Job::Probe { .. }) => unreachable!("probe job routed to a range queue"),
-            Some(Job::Write { ops, ack, reply }) => {
-                writes.push(WriteJob { ops, ack, reply });
-            }
-            Some(Job::Poison { .. }) => {
-                shutdown = true;
-                break FlushReason::Shutdown;
-            }
-            None => break FlushReason::Deadline,
-        }
-    };
-    stages.record(Stage::BatchWait, opened.elapsed());
-
-    // Drain the ring: emissions attribute inline, in emit order, so
-    // each tag's slice (and chunk sequence) stays key-ordered — the
-    // invariant the gather side's rank-ordered release relies on.
-    let busy_from = Instant::now();
-    let mark = prof.mark();
-    walker.drain(&mut |t, k, p| {
-        attribute_scan(&meta, &mut open, &mut chunks, chunk_size, t, k, p);
-    });
-    prof.record(Stage::Walk, mark);
-    busy += busy_from.elapsed();
-
-    // Flush every streaming tag's tail chunk, then complete the parts.
-    for (tag, buf) in chunks.iter_mut().enumerate() {
+    // Flush every streaming tag's tail chunk.
+    for (tag, buf) in sink.chunks.iter_mut().enumerate() {
         if !buf.is_empty() {
-            let (open_idx, rank) = meta[tag];
-            let job = &open[open_idx as usize];
-            debug_assert!(job.streaming, "tail chunk on a buffered part");
-            let _ = job.reply.push_chunk(rank, std::mem::take(buf));
+            let (part, rank) = sink.meta[tag];
+            let _ = sink.open[part as usize]
+                .reply
+                .push_chunk(rank, std::mem::take(buf));
         }
     }
-    cell.add_batch(meta.len() as u64, flush_kind(reason));
-    cell.add_busy(busy);
-    stages.record(Stage::Walk, busy);
+    // Publish every counter before any part completes.
+    let (mut matches, mut entries) = (0, 0);
+    for part in &sink.open {
+        if part.scan {
+            entries += part.emitted;
+        } else {
+            matches += part.emitted;
+        }
+    }
+    cell.add_batch(batch.keys, flush_kind(reason));
+    cell.add_matches(matches);
+    cell.add_scans(batch.cursors, entries);
+    cell.add_busy(batch.busy);
+    stages.record(Stage::Walk, batch.busy);
     let batch_done = Instant::now();
-    let walk_counters = walker.take_counters();
+    let mut walk_counters = batch.probes.take_counters();
+    if let Some(scans) = &mut batch.scans {
+        walk_counters.merge(&scans.take_counters());
+    }
     prof.add_walk(&walk_counters);
     let gather_mark = prof.mark();
-    for job in &open {
-        cell.add_matches(job.emitted);
-        if job.reply.is_traced() {
-            job.reply.trace_annotate(|trace, submitted| {
-                trace.add_shard(shard as u32);
-                trace.span_between(TraceStage::QueueWait, submitted, job.admitted);
-                trace.span_between(TraceStage::BatchWait, job.admitted, batch_done);
-                trace.span_for(TraceStage::Walk, opened, busy);
+    for part in &sink.open {
+        if part.reply.is_traced() {
+            part.reply.trace_annotate(|trace, submitted| {
+                trace.add_shard(ctx.shard as u32);
+                trace.span_between(TraceStage::QueueWait, submitted, part.admitted);
+                trace.span_between(TraceStage::BatchWait, part.admitted, batch_done);
+                trace.span_for(TraceStage::Walk, opened, batch.busy);
                 trace.add_walk(&walk_counters);
             });
         }
-        if job.streaming {
-            for rank in &job.ranks {
-                job.reply.complete_stream_part(*rank, Some(cell));
+        if part.streaming {
+            for rank in &part.ranks {
+                part.reply.complete_stream_part(*rank, Some(cell));
             }
         } else {
-            job.reply.complete_part(&job.items, Some(cell));
+            part.reply.complete_part(&part.items, Some(cell));
         }
     }
     prof.record(Stage::Gather, gather_mark);

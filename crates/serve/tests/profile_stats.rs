@@ -30,8 +30,8 @@ fn profiled_service_reports_per_stage_breakdown() {
 
     let stats = service.live_stats();
     let prof = stats.prof.as_ref().expect("profiled service carries prof");
-    // Both tiers attached: 2 point + 2 range workers.
-    assert_eq!(prof.workers, 4);
+    // One worker per key range serves both tiers.
+    assert_eq!(prof.workers, 2);
     assert_ne!(prof.backend, "none", "workers attached a counter group");
     // The walkers really ran under the profiler: the software
     // cross-check counters saw the probes and the scan.
@@ -63,7 +63,7 @@ fn profiled_service_reports_per_stage_breakdown() {
     assert!(profile.starts_with("{\"enabled\": true,"));
     assert!(profile.contains("\"stages\":{\"queue_wait\":"));
     let prom = stats.render_prometheus();
-    assert!(prom.contains("widx_prof_workers 4"));
+    assert!(prom.contains("widx_prof_workers 2"));
     assert!(prom.contains("widx_prof_windows_total{stage=\"walk\"}"));
     assert!(
         widx_obs::lint_exposition(&prom).is_empty(),

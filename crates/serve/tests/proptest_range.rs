@@ -94,7 +94,7 @@ proptest! {
             }
         }
         let stats = service.shutdown();
-        prop_assert!(stats.range_workers.len() == shards);
+        prop_assert!(stats.workers.len() == shards);
     }
 
     /// Limit truncation is exact at shard seams: for a scan covering
@@ -301,13 +301,13 @@ fn cross_shard_scans_match_oracle_end_to_end() {
         }
     }
     let stats = service.shutdown();
-    assert_eq!(stats.range_workers.len(), 4);
+    assert_eq!(stats.workers.len(), 4);
     assert!(
-        stats.range_workers.iter().all(|w| w.keys > 0),
+        stats.workers.iter().all(|w| w.scan_cursors > 0),
         "every ordered shard served cursors"
     );
     // Batching across concurrent scans must actually engage.
-    let batches: u64 = stats.range_workers.iter().map(|w| w.batches).sum();
+    let batches: u64 = stats.workers.iter().map(|w| w.batches).sum();
     let cursors = stats.total_scan_cursors();
     assert!(
         batches < cursors,

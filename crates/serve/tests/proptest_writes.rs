@@ -11,11 +11,14 @@
 //! key, `update` collapses the key to the single new payload (and
 //! never inserts on miss).
 //!
-//! A plain test closes the file: readers on other threads must see a
+//! Two plain tests close the file. Readers on other threads must see a
 //! stable key range exactly while a writer churns the keys next to it,
 //! so leaves split and merge and freed node slots are reused at once.
+//! And a range scan issued after a lookup returned must never see an
+//! older version of the key than that lookup did: both tiers of a key
+//! range take each write at one barrier.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -23,7 +26,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use widx_db::hash::HashRecipe;
-use widx_serve::{ProbeService, Request, Response, ServeConfig};
+use widx_serve::{PendingResponse, ProbeService, Request, Response, ServeConfig};
 
 /// Serial mutable oracle over the same key space.
 #[derive(Default)]
@@ -185,8 +188,8 @@ proptest! {
             );
         }
         let stats = service.shutdown();
-        // Each op applies in the hash tier and the ordered tier.
-        prop_assert_eq!(stats.total_write_applied(), inserts.len() as u64 * 2);
+        // Each op applies to both tiers at one barrier and counts once.
+        prop_assert_eq!(stats.total_write_applied(), inserts.len() as u64);
     }
 }
 
@@ -295,6 +298,80 @@ fn readers_see_the_stable_range_exactly_while_a_writer_churns_beside_it() {
         .ok()
         .expect("threads released the service")
         .shutdown();
-    // 300 insert windows and 299 delete windows, each in both tiers.
-    assert_eq!(stats.total_write_applied(), (300 + 299) * 32 * 2);
+    // 300 insert windows and 299 delete windows, each op counted once.
+    assert_eq!(stats.total_write_applied(), (300 + 299) * 32);
+}
+
+/// One writer pipelines updates of one key, 32 in flight, while a noise
+/// thread keeps batches open with scans and multi-lookups across both
+/// shards. A checker looks the key up, then scans exactly that key: the
+/// scan must never return an older version than the lookup before it.
+#[test]
+fn a_scan_after_a_lookup_never_sees_an_older_version() {
+    const KEY: u64 = 1000;
+    const VERSIONS: u64 = 200_000;
+    let service = Arc::new(ProbeService::build_with_range(
+        HashRecipe::robust64(),
+        (0..4096u64).map(|k| (k, 0)),
+        &ServeConfig::default().with_shards(2),
+    ));
+    let start = Arc::new(Barrier::new(3));
+    let done = Arc::new(AtomicBool::new(false));
+
+    let writer = {
+        let (service, start, done) = (Arc::clone(&service), Arc::clone(&start), Arc::clone(&done));
+        thread::spawn(move || {
+            start.wait();
+            let mut inflight = VecDeque::new();
+            for v in 1..=VERSIONS {
+                if inflight.len() == 32 {
+                    let pending: PendingResponse = inflight.pop_front().unwrap();
+                    assert_eq!(pending.wait(), Response::Write { acks: vec![true] });
+                }
+                let update = Request::Update {
+                    pairs: vec![(KEY, v)],
+                };
+                inflight.push_back(service.submit(update).unwrap());
+            }
+            for pending in inflight {
+                assert_eq!(pending.wait(), Response::Write { acks: vec![true] });
+            }
+            done.store(true, Ordering::Release);
+        })
+    };
+
+    let noise = {
+        let (service, start, done) = (Arc::clone(&service), Arc::clone(&start), Arc::clone(&done));
+        thread::spawn(move || {
+            start.wait();
+            while !done.load(Ordering::Acquire) {
+                assert_eq!(service.range_scan(2000, 2100, 8).unwrap().len(), 8);
+                assert_eq!(service.multi_lookup(&[5, 3000]).unwrap().len(), 2);
+            }
+        })
+    };
+
+    let checker = {
+        let (service, start, done) = (Arc::clone(&service), Arc::clone(&start), Arc::clone(&done));
+        thread::spawn(move || {
+            start.wait();
+            let (mut checks, mut older) = (0u64, 0u64);
+            while checks < 100 || !done.load(Ordering::Acquire) {
+                let seen = service.lookup(KEY).unwrap();
+                let scanned = service.range_scan(KEY, KEY, 1).unwrap();
+                assert_eq!((seen.len(), scanned.len()), (1, 1));
+                if scanned[0].1 < seen[0] {
+                    older += 1;
+                }
+                checks += 1;
+            }
+            (checks, older)
+        })
+    };
+
+    writer.join().expect("writer panicked");
+    noise.join().expect("noise thread panicked");
+    let (checks, older) = checker.join().expect("checker panicked");
+    assert_eq!(older, 0, "{older} of {checks} scans saw an older version");
+    assert_eq!(service.lookup(KEY).unwrap(), vec![VERSIONS]);
 }

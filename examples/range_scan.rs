@@ -81,7 +81,7 @@ fn main() {
     assert_eq!(payloads.len(), scanned.len());
     println!("lookup(4242) == scan [4242, 4242]: {payloads:?}");
 
-    // Drain-then-halt shutdown returns both tiers' telemetry.
+    // Drain-then-halt shutdown returns per-worker telemetry.
     let stats = service.shutdown();
     println!(
         "\nserved {} scan cursors / {} entries in {:.1} ms ({:.2} Mentries/s wall)",
@@ -90,11 +90,12 @@ fn main() {
         stats.wall.as_secs_f64() * 1e3,
         stats.scan_throughput() / 1e6,
     );
-    for w in &stats.range_workers {
+    for w in &stats.workers {
         println!(
-            "  ordered shard {}: {:>6} cursors, {:>4} batches (mean {:>5.1}), occupancy {:>5.1}%",
+            "  shard {}: {:>6} keys, {:>6} cursors, {:>4} batches (mean {:>5.1}), occupancy {:>5.1}%",
             w.shard,
             w.keys,
+            w.scan_cursors,
             w.batches,
             w.mean_batch(),
             w.occupancy() * 100.0,
