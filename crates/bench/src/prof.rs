@@ -2,7 +2,7 @@
 //! every JSON emitter records (CPU count, counter-shim backend, poller
 //! backend), and the per-engine profiled sweep behind `--profile` —
 //! the paper's Figure 2 measured live, with scalar / group-prefetch /
-//! AMAC walkers each run under a [`ThreadProfiler`] over the same
+//! AMAC walkers each run under a profiling [`StageClock`] over the same
 //! probe stream so their cycle breakdowns (IPC, LLC MPKI, stall
 //! fraction, effective MLP) are directly comparable.
 
@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use perf_event::CounterGroup;
 use widx_db::index::{BTreeIndex, HashIndex};
-use widx_obs::{ProfCell, ProfSnapshot, Stage, ThreadProfiler, WalkCounters};
+use widx_obs::{ProfCell, ProfSnapshot, Stage, StageClock, WalkCounters};
 use widx_soft::{
     probe_amac, probe_group_prefetch, probe_scalar, scan_btree_amac, scan_btree_group,
     scan_btree_scalar, Match, ScanRange,
@@ -76,8 +76,7 @@ impl EngineProfile {
     /// The walk-stage breakdown this engine recorded.
     #[must_use]
     pub fn walk(&self) -> &widx_obs::ProfStageSnapshot {
-        // Index 2 is `Stage::Walk` in `Stage::ALL` order.
-        &self.snap.stages[2]
+        self.snap.get(Stage::Walk)
     }
 
     /// One JSON object for the bench emitters.
@@ -93,8 +92,11 @@ impl EngineProfile {
     }
 }
 
+/// One engine's run: its walker counters and the matches it produced.
+type Runner<'a> = Box<dyn Fn() -> (WalkCounters, usize) + 'a>;
+
 /// Runs the three walker engines over the same probe stream, each
-/// under its own freshly attached [`ThreadProfiler`], and returns the
+/// under its own freshly attached [`StageClock`], and returns the
 /// per-engine cycle breakdowns. `inflight` sizes the AMAC ring;
 /// `group` the group-prefetch stage width.
 #[must_use]
@@ -104,45 +106,27 @@ pub fn profile_engines(
     inflight: usize,
     group: usize,
 ) -> Vec<EngineProfile> {
-    type Runner<'a> = Box<dyn Fn(&mut Vec<Match>) -> WalkCounters + 'a>;
-    let engines: [(&'static str, Runner<'_>); 3] = [
-        (
-            "scalar",
-            Box::new(|out: &mut Vec<Match>| probe_scalar(index, probes, out)),
-        ),
-        (
-            "group_prefetch",
-            Box::new(|out: &mut Vec<Match>| probe_group_prefetch(index, probes, group, out)),
-        ),
-        (
-            "amac",
-            Box::new(|out: &mut Vec<Match>| probe_amac(index, probes, inflight, out)),
-        ),
-    ];
-    engines
-        .into_iter()
-        .map(|(engine, run)| {
-            let cell = Arc::new(ProfCell::new());
-            let mut prof = ThreadProfiler::attach(Arc::clone(&cell));
-            let mut out = Vec::with_capacity(probes.len());
-            // One warm-up pass outside the window so all three engines
-            // see a hot cache hierarchy and page tables.
-            let _ = run(&mut out);
-            out.clear();
-            let started = std::time::Instant::now();
-            let mark = prof.mark();
-            let counters = run(&mut out);
-            prof.record(Stage::Walk, mark);
-            let wall = started.elapsed();
-            prof.add_walk(&counters);
-            EngineProfile {
-                engine,
-                snap: cell.snapshot(),
-                matches: out.len(),
-                keys_per_sec: probes.len() as f64 / wall.as_secs_f64(),
-            }
-        })
-        .collect()
+    let collected = |probe: &dyn Fn(&mut Vec<Match>) -> WalkCounters| {
+        let mut out = Vec::with_capacity(probes.len());
+        (probe(&mut out), out.len())
+    };
+    profile_runs(
+        [
+            (
+                "scalar",
+                Box::new(move || collected(&|out| probe_scalar(index, probes, out))),
+            ),
+            (
+                "group_prefetch",
+                Box::new(move || collected(&|out| probe_group_prefetch(index, probes, group, out))),
+            ),
+            (
+                "amac",
+                Box::new(move || collected(&|out| probe_amac(index, probes, inflight, out))),
+            ),
+        ],
+        |_| probes.len(),
+    )
 }
 
 /// The ordered-index analogue of [`profile_engines`]: the three
@@ -156,42 +140,57 @@ pub fn profile_btree_engines(
     inflight: usize,
     group: usize,
 ) -> Vec<EngineProfile> {
-    type Runner<'a> = Box<dyn Fn(&mut usize) -> WalkCounters + 'a>;
-    let engines: [(&'static str, Runner<'_>); 3] = [
-        (
-            "scalar",
-            Box::new(|n: &mut usize| scan_btree_scalar(tree, scans, &mut |_, _, _| *n += 1)),
-        ),
-        (
-            "group_prefetch",
-            Box::new(|n: &mut usize| scan_btree_group(tree, scans, group, &mut |_, _, _| *n += 1)),
-        ),
-        (
-            "amac",
-            Box::new(|n: &mut usize| {
-                scan_btree_amac(tree, scans, inflight, &mut |_, _, _| *n += 1)
-            }),
-        ),
-    ];
+    fn counted(
+        scan: impl FnOnce(&mut dyn FnMut(u32, u64, u64)) -> WalkCounters,
+    ) -> (WalkCounters, usize) {
+        let mut emitted = 0;
+        let counters = scan(&mut |_, _, _| emitted += 1);
+        (counters, emitted)
+    }
+    profile_runs(
+        [
+            (
+                "scalar",
+                Box::new(|| counted(|mut emit| scan_btree_scalar(tree, scans, &mut emit))),
+            ),
+            (
+                "group_prefetch",
+                Box::new(|| counted(|mut emit| scan_btree_group(tree, scans, group, &mut emit))),
+            ),
+            (
+                "amac",
+                Box::new(|| counted(|mut emit| scan_btree_amac(tree, scans, inflight, &mut emit))),
+            ),
+        ],
+        |emitted| emitted,
+    )
+}
+
+/// Profiles each engine over one walk-stage window of its own
+/// [`StageClock`], after one warm-up pass outside the window so every
+/// engine sees a hot cache hierarchy and page tables. `items` maps an
+/// engine's match count to the work items its rate counts.
+fn profile_runs(
+    engines: [(&'static str, Runner<'_>); 3],
+    items: impl Fn(usize) -> usize,
+) -> Vec<EngineProfile> {
     engines
         .into_iter()
         .map(|(engine, run)| {
             let cell = Arc::new(ProfCell::new());
-            let mut prof = ThreadProfiler::attach(Arc::clone(&cell));
-            let mut emitted = 0usize;
-            let _ = run(&mut emitted); // warm-up pass
-            emitted = 0;
-            let started = std::time::Instant::now();
-            let mark = prof.mark();
-            let counters = run(&mut emitted);
-            prof.record(Stage::Walk, mark);
-            let wall = started.elapsed();
-            prof.add_walk(&counters);
+            let mut clock = StageClock::new(Some(Arc::clone(&cell)));
+            let _ = run();
+            let started = clock.read();
+            clock.close(None);
+            let (counters, matches) = run();
+            let wall = clock.read() - started;
+            clock.close(Some(Stage::Walk));
+            clock.add_walk(&counters);
             EngineProfile {
                 engine,
                 snap: cell.snapshot(),
-                matches: emitted,
-                keys_per_sec: emitted as f64 / wall.as_secs_f64(),
+                matches,
+                keys_per_sec: items(matches) as f64 / wall.as_secs_f64(),
             }
         })
         .collect()

@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use poller::{Event, Poller};
 use widx_serve::{
     NetStats, NetTraceCtx, PendingResponse, PendingStream, ProbeService, ReactorGauges,
-    ReactorStats, Stage, StageTimes, StreamConsumed, SubmitError, TraceFinisher,
+    ReactorStats, ReplyMark, StageTimes, StreamConsumed, SubmitError,
 };
 
 use crate::wire::{self, Decoded, ErrorCode, ErrorReply, WireRequest};
@@ -425,29 +425,29 @@ struct Connection {
     closed_for_reads: bool,
     /// Set on an unrecoverable socket error: drop the connection now.
     dead: bool,
-    /// The service's stage histograms — this connection records the
-    /// `reply_write` stage (encode-to-flushed time) into them.
+    /// The service's front-end stage histograms — this connection
+    /// records the `reply_write` stage (last part done → reply flushed)
+    /// into them.
     stages: Arc<StageTimes>,
     /// Total bytes ever flushed on this socket (the coordinate system
     /// for `wmarks`, immune to the write buffer recycling segments).
     flushed_total: u64,
-    /// Reply-write marks: `(offset, encoded_at, trace)` entries meaning
-    /// "the frame encoded at `encoded_at` is fully on the socket once
-    /// `flushed_total` reaches `offset`". Popped in flush order —
-    /// offsets are pushed non-decreasing, so the front is always the
-    /// next to complete. A mark may carry the request's deferred trace,
-    /// which the flush closes (reply-write span) and commits to the
-    /// flight recorder.
-    wmarks: VecDeque<(u64, Instant, Option<TraceFinisher>)>,
+    /// Reply-write marks: `(offset, mark)` entries meaning "the reply
+    /// `mark` belongs to is fully on the socket once `flushed_total`
+    /// reaches `offset`". Popped in flush order — offsets are pushed
+    /// non-decreasing, so the front is always the next to complete. The
+    /// flush closes each mark: it records the request's reply-write stage
+    /// and commits its deferred trace, if one rides it.
+    wmarks: VecDeque<(u64, ReplyMark)>,
     /// The index of the reactor this connection is pinned to, recorded
     /// into sampled request traces.
     rix: u32,
 }
 
 /// Cap on queued reply-write marks per connection: past this, new
-/// frames simply go unmeasured (the histogram is a sample, not a
-/// ledger) rather than letting a slow reader grow the queue without
-/// bound.
+/// replies simply go unmeasured and untraced (the histogram is a
+/// sample, not a ledger) rather than letting a slow reader grow the
+/// queue without bound.
 const MAX_WMARKS: usize = 1024;
 
 /// Compact the read buffer once this many consumed bytes sit in front
@@ -485,21 +485,12 @@ impl Connection {
         }
     }
 
-    /// Records a reply-write mark for the frame(s) just encoded: the
-    /// stage completes when every byte currently buffered has flushed.
-    /// A deferred request trace rides the mark so the flush can close
-    /// it with the frame's true on-socket time; past the mark cap the
-    /// frame goes unmeasured and the trace commits without a
-    /// reply-write span rather than being lost.
-    fn mark_reply_written(&mut self, trace: Option<TraceFinisher>) {
+    /// Queues the reply-write mark of the reply just encoded: the stage
+    /// completes when every byte currently buffered has flushed.
+    fn mark_reply_written(&mut self, mark: ReplyMark) {
         if self.wmarks.len() < MAX_WMARKS {
-            self.wmarks.push_back((
-                self.flushed_total + self.write_backlog() as u64,
-                Instant::now(),
-                trace,
-            ));
-        } else if let Some(trace) = trace {
-            trace.commit();
+            self.wmarks
+                .push_back((self.flushed_total + self.write_backlog() as u64, mark));
         }
     }
 
@@ -606,7 +597,6 @@ impl Connection {
                         self.wbuf
                             .encode_with(|b| wire::encode_stats_reply(b, id, &stats.to_json()));
                         counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                        self.mark_reply_written(None);
                         continue;
                     }
                     if matches!(value, WireRequest::Trace) {
@@ -617,7 +607,6 @@ impl Connection {
                         self.wbuf
                             .encode_with(|b| wire::encode_trace_reply(b, id, &json));
                         counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                        self.mark_reply_written(None);
                         continue;
                     }
                     if matches!(value, WireRequest::Profile) {
@@ -629,7 +618,6 @@ impl Connection {
                         self.wbuf
                             .encode_with(|b| wire::encode_profile_reply(b, id, &json));
                         counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                        self.mark_reply_written(None);
                         continue;
                     }
                     if self.inflight() >= config.max_inflight_per_conn {
@@ -642,11 +630,11 @@ impl Connection {
                         continue;
                     }
                     let waker = self.waker();
-                    // When tracing is armed, anchor the trace timeline
-                    // at frame-decode time and tag the owning reactor;
+                    // The frame-decode instant opens the request's
+                    // `net_read` stage and anchors its trace timeline;
                     // the service decides (head sample or tail slow
                     // threshold) whether the request actually records.
-                    let net_ctx = service.tracing_armed().then(|| NetTraceCtx {
+                    let net_ctx = Some(NetTraceCtx {
                         reactor: self.rix,
                         id,
                         decoded_at: Instant::now(),
@@ -791,12 +779,10 @@ impl Connection {
             }
             if self.pending[i].2.is_ready() {
                 let (id, wkind, pending) = self.pending.swap_remove(i);
-                // A deferred trace detaches here, before `wait` consumes
-                // the handle, and rides the reply-write mark to its
-                // commit at flush time.
-                let trace = pending.take_trace();
-                // `wait` cannot block: readiness was just observed.
-                let response = pending.wait();
+                // `wait_reply` cannot block: readiness was just observed.
+                // Its mark (with any deferred trace) rides the reply to
+                // the flush that closes the reply-write stage.
+                let (response, mark) = pending.wait_reply();
                 if wire::response_fits(&response) {
                     self.wbuf.encode_with(|b| {
                         if let (widx_serve::Response::Write { acks }, Some(kind)) =
@@ -808,18 +794,14 @@ impl Connection {
                         }
                     });
                     counters.frames_out.fetch_add(1, Ordering::Relaxed);
-                    self.mark_reply_written(trace);
                 } else {
-                    // The trace still commits — an oversized reply is
-                    // exactly the kind of request worth a flight-recorder
-                    // entry — just without a reply-write span.
-                    if let Some(trace) = trace {
-                        trace.commit();
-                    }
                     // A legal request (e.g. an unbounded RangeScan) can
                     // complete with more entries than any frame may
                     // carry — answer TooLarge rather than letting the
-                    // encoder's cap assert kill the event loop.
+                    // encoder's cap assert kill the event loop. The error
+                    // frame is the reply: its flush closes the mark, so
+                    // an oversized request — exactly the kind worth a
+                    // flight-recorder entry — still commits its trace.
                     self.reply_error(
                         id,
                         &ErrorReply::new(
@@ -829,6 +811,7 @@ impl Connection {
                         counters,
                     );
                 }
+                self.mark_reply_written(mark);
                 progress = true;
             } else {
                 i += 1;
@@ -891,10 +874,9 @@ impl Connection {
             }
             if finished {
                 // The stream's reply-write stage spans its final frame:
-                // one mark at the `RangeEnd`, not one per chunk. The
-                // trace (if any) rides the same mark.
-                let trace = self.streams[i].stream.take_trace();
-                self.mark_reply_written(trace);
+                // one mark at the `RangeEnd`, not one per chunk.
+                let mark = self.streams[i].stream.reply_mark();
+                self.mark_reply_written(mark);
                 self.streams.swap_remove(i);
             } else {
                 i += 1;
@@ -913,17 +895,15 @@ impl Connection {
             self.dead = true;
         }
         self.flushed_total += flushed as u64;
+        // One clock reading closes every reply this flush completed.
+        let mut now = None;
         while self
             .wmarks
             .front()
             .is_some_and(|mark| mark.0 <= self.flushed_total)
         {
-            let (_, encoded_at, trace) = self.wmarks.pop_front().expect("front just checked");
-            self.stages.record(Stage::ReplyWrite, encoded_at.elapsed());
-            if let Some(mut trace) = trace {
-                trace.note_reply_write(encoded_at);
-                trace.commit();
-            }
+            let (_, mark) = self.wmarks.pop_front().expect("front just checked");
+            mark.flushed(&self.stages, *now.get_or_insert_with(Instant::now));
         }
         if flushed > 0 && self.wbuf.backlog() == 0 {
             self.shrink_after_drain();
@@ -1653,7 +1633,6 @@ mod tests {
         // A burst of reply bytes far over the cap.
         let payload = vec![0x5Au8; 4 << 20];
         conn.wbuf.encode_with(|b| b.extend_from_slice(&payload));
-        conn.mark_reply_written(None);
         let reader = std::thread::spawn(move || {
             let mut stream = client;
             let mut sink = [0u8; 64 << 10];
@@ -1682,7 +1661,6 @@ mod tests {
             conn.retained_capacity(),
             BUF_HIGH_WATER
         );
-        assert!(conn.wmarks.is_empty(), "reply-write mark completed");
         drop(conn);
         assert_eq!(reader.join().expect("reader"), 4 << 20);
     }

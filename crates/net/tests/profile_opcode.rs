@@ -55,10 +55,15 @@ fn profile_opcode_round_trips_over_tcp() {
 
     let json = client.profile_json().expect("profile scrape");
     assert!(json.starts_with("{\"enabled\": true,"), "{json}");
-    // The document names its backend and carries every seam stage.
+    // The document names its backend and carries every stage a worker
+    // window measured — and only those: queueing and the network stages
+    // are no worker window.
     assert!(json.contains("\"backend\":"), "{json}");
-    for stage in ["queue_wait", "batch_wait", "walk", "gather", "reply_write"] {
+    for stage in ["batch_wait", "walk", "gather"] {
         assert!(json.contains(&format!("\"{stage}\":")), "{json}");
+    }
+    for stage in ["net_read", "queue_wait", "reply_write"] {
+        assert!(!json.contains(&format!("\"{stage}\":")), "{json}");
     }
     // The software cross-check counters saw the walkers run.
     let at = json.find("\"walk\"").expect("walk block");

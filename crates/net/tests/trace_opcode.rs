@@ -1,21 +1,23 @@
 //! End-to-end tests for the per-request tracing seam over TCP: a
 //! deliberately slow request must land in the flight recorder with the
 //! full span seam (net-read → queue-wait → walk → gather → reply-write)
-//! and non-trivial walker counters, the `Trace` wire opcode must
-//! round-trip the recorder's JSON document, and a server with tracing
-//! unarmed must record nothing. The suite runs under whatever poller
+//! and non-trivial walker counters, every traced request's spans must
+//! tile its life from frame decode to reply flush under a concurrent mix
+//! whose `Trace` opcode scrape round-trips the recorder's JSON document,
+//! and a server with tracing unarmed must record nothing. The suite runs under whatever poller
 //! backend `WIDX_POLLER` selects, so CI exercises it on both epoll and
 //! poll.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use widx_db::hash::HashRecipe;
 use widx_net::{NetConfig, WidxClient, WidxServer};
 use widx_obs::json::find_u64;
-use widx_serve::{ProbeService, RequestTrace, ServeConfig, TraceStage};
+use widx_serve::{ProbeService, ServeConfig, Stage};
 
 const ENTRIES: u64 = 8192;
+const ROUNDS: u64 = 10;
 
 fn start(serve: ServeConfig) -> (Arc<ProbeService>, WidxServer) {
     let service = Arc::new(ProbeService::build_with_range(
@@ -26,14 +28,6 @@ fn start(serve: ServeConfig) -> (Arc<ProbeService>, WidxServer) {
     let server = WidxServer::bind("127.0.0.1:0", Arc::clone(&service), NetConfig::default())
         .expect("bind server");
     (service, server)
-}
-
-fn span_of(trace: &RequestTrace, stage: TraceStage) -> Option<(u64, u64)> {
-    trace
-        .spans
-        .iter()
-        .find(|s| s.stage == stage)
-        .map(|s| (s.start_ns, s.dur_ns))
 }
 
 #[test]
@@ -75,33 +69,21 @@ fn slow_request_is_tail_recorded_with_the_full_span_seam() {
     assert!(trace.walk.nodes > 0, "walker visited no nodes");
     assert!(trace.walk.rounds > 0, "walker ran no rounds");
 
-    // The seam covers the request's life: every serve/net stage spanned,
-    // and every span fits inside the end-to-end latency.
-    for stage in [
-        TraceStage::NetRead,
-        TraceStage::QueueWait,
-        TraceStage::BatchWait,
-        TraceStage::Walk,
-        TraceStage::Gather,
-        TraceStage::ReplyWrite,
-    ] {
-        let (start_ns, dur_ns) =
-            span_of(trace, stage).unwrap_or_else(|| panic!("trace missing {} span", stage.name()));
-        assert!(
-            start_ns.saturating_add(dur_ns) <= trace.total_ns,
-            "{} span [{start_ns}, +{dur_ns}] overruns total_ns={}",
-            stage.name(),
-            trace.total_ns
-        );
-    }
-    // And the stages appear in causal order on the shared timeline.
-    let queue = span_of(trace, TraceStage::QueueWait).expect("queue span").0;
-    let walk = span_of(trace, TraceStage::Walk).expect("walk span").0;
-    let reply = span_of(trace, TraceStage::ReplyWrite)
-        .expect("reply span")
-        .0;
-    assert!(queue <= walk, "walk began before queue-wait");
-    assert!(walk <= reply, "reply-write began before the walk");
+    // The seam covers the request's life: the spans tile it from the
+    // frame decode to the reply flush, through every serve stage.
+    assert!(trace.is_tiled(), "{trace:?}");
+    let stages: Vec<Stage> = trace.spans.iter().map(|s| s.stage).collect();
+    assert_eq!(
+        stages,
+        [
+            Stage::NetRead,
+            Stage::QueueWait,
+            Stage::BatchWait,
+            Stage::Walk,
+            Stage::Gather,
+            Stage::ReplyWrite
+        ]
+    );
 
     drop(client);
     let _ = server.shutdown();
@@ -111,13 +93,41 @@ fn slow_request_is_tail_recorded_with_the_full_span_seam() {
         .shutdown();
 }
 
+/// One connection's share of the traced mix: lookups, multi-lookups and
+/// scans across both shards, streams, and fresh-key writes.
+fn run_client(addr: std::net::SocketAddr, barrier: &Barrier, c: u64) {
+    let mut client = WidxClient::connect(addr).expect("connect");
+    barrier.wait();
+    let half = ENTRIES / 2;
+    for i in 0..ROUNDS {
+        let key = (c * ROUNDS + i) * 41 % ENTRIES;
+        assert_eq!(client.lookup(key).expect("lookup"), vec![key + 1]);
+        let keys: Vec<u64> = (0..16).map(|j| (key + j * 509) % ENTRIES).collect();
+        assert_eq!(client.multi_lookup(&keys).expect("multi").len(), 16);
+        let scan = client.range_scan(half - 50, half + 50, 100).expect("scan");
+        assert_eq!(scan.len(), 100);
+        let stream = client
+            .range_stream(half - 100, half + 100, usize::MAX, false)
+            .expect("stream");
+        assert_eq!(stream.collect_remaining().expect("chunks").len(), 201);
+        let fresh = 2 * ENTRIES + c * ROUNDS + i;
+        assert_eq!(client.insert(&[(fresh, 1)]).expect("insert"), [true]);
+        assert_eq!(client.delete(&[fresh]).expect("delete"), [true]);
+    }
+}
+
 #[test]
 fn trace_opcode_round_trips_over_tcp() {
+    const CLIENTS: u64 = 3;
+    // Per round: lookup, multi-lookup, scan, stream and two writes.
+    let requests = CLIENTS * ROUNDS * 6;
     let (service, server) = start(
         ServeConfig::default()
             .with_shards(2)
             .with_batch_deadline(Duration::from_micros(100))
-            .with_trace_sample(1),
+            .with_stream_chunk(64)
+            .with_trace_sample(1)
+            .with_trace_capacity(requests as usize),
     );
     let mut client = WidxClient::connect(server.local_addr()).expect("connect");
 
@@ -126,14 +136,43 @@ fn trace_opcode_round_trips_over_tcp() {
     assert_eq!(find_u64(&json, "recorded"), Some(0), "idle scrape: {json}");
     assert!(json.contains("\"traces\":[]"), "idle scrape: {json}");
 
-    for key in 0..32u64 {
-        assert_eq!(client.lookup(key).expect("lookup"), vec![key + 1]);
+    let barrier = Barrier::new(CLIENTS as usize);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (addr, barrier) = (server.local_addr(), &barrier);
+            scope.spawn(move || run_client(addr, barrier, c));
+        }
+    });
+    // Each trace commits on the reactor right after its reply flushed;
+    // `flush` waits every commit out.
+    service.flight_recorder().flush();
+
+    // Every request's spans tile its life from the frame decode to the
+    // reply flush, and the histograms read the same instants: the worker
+    // stages add up to the service latency, and both network stages
+    // count every request.
+    let traces = service.flight_recorder().snapshot();
+    assert_eq!(traces.len() as u64, requests);
+    for trace in &traces {
+        assert!(trace.is_tiled(), "{trace:?}");
+        assert_eq!(trace.spans[0].stage, Stage::NetRead, "{trace:?}");
+        assert_eq!(trace.spans.last().map(|s| s.stage), Some(Stage::ReplyWrite));
     }
+    let stats = service.live_stats();
+    let sum = |stage| stats.stages.get(stage).sum_ns;
+    let worker_stages = [
+        Stage::QueueWait,
+        Stage::BatchWait,
+        Stage::Walk,
+        Stage::Write,
+    ];
+    let worker_sum: u64 = worker_stages.into_iter().map(sum).sum::<u64>() + sum(Stage::Gather);
+    assert_eq!(worker_sum, stats.latency.sum_ns);
+    assert_eq!(stats.stages.get(Stage::NetRead).count as u64, requests);
+    assert_eq!(stats.stages.get(Stage::ReplyWrite).count as u64, requests);
+
     let json = client.traces_json().expect("trace scrape");
-    assert!(
-        find_u64(&json, "recorded").expect("recorded gauge") >= 32,
-        "every head-sampled request recorded: {json}"
-    );
+    assert_eq!(find_u64(&json, "recorded"), Some(requests), "{json}");
     assert!(json.contains("\"kind\":\"lookup\""), "{json}");
     assert!(json.contains("\"reactor\":0"), "{json}");
     assert!(json.contains("\"stage\":\"reply_write\""), "{json}");
@@ -145,7 +184,7 @@ fn trace_opcode_round_trips_over_tcp() {
     // Recorder gauges also surface in the Stats opcode's snapshot.
     let stats = client.stats_json().expect("stats scrape");
     let at = stats.find("\"trace\"").expect("trace block in stats");
-    assert!(find_u64(&stats[at..], "recorded").expect("gauge") >= 32);
+    assert_eq!(find_u64(&stats[at..], "recorded"), Some(requests));
 
     drop(client);
     let _ = server.shutdown();

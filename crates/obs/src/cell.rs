@@ -2,13 +2,16 @@
 //!
 //! Each worker thread owns exactly one [`WorkerCell`] and is the only writer
 //! to it, so the relaxed read-modify-writes never contend; readers (the
-//! `live_stats()` scrape path) only load. The cell is over-aligned so two
+//! `live_stats()` scrape path) only load. The cell is also the histogram
+//! home of every request the worker completes: the end-to-end latency and
+//! the stages that add up to it. The cell is over-aligned so two
 //! workers' cells never share a cache line even when stored contiguously.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::hist::{AtomicHistogram, HistogramSnapshot};
+use crate::hist::{dur_ns, AtomicHistogram, HistogramSnapshot};
+use crate::stage::{Stage, StageSnapshot, StageTimes};
 
 /// Why a batch was flushed, mirroring the serving layer's flush reasons.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,7 +24,8 @@ pub enum FlushKind {
     Shutdown,
 }
 
-/// A padded, lock-free bundle of one worker's counters and latency histogram.
+/// A padded, lock-free bundle of one worker's counters, plus the latency
+/// and stage histograms of the requests it completes.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub struct WorkerCell {
@@ -40,11 +44,7 @@ pub struct WorkerCell {
     write_applied: AtomicU64,
     write_batches: AtomicU64,
     latency: AtomicHistogram,
-}
-
-#[inline]
-fn dur_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+    stages: StageTimes,
 }
 
 impl WorkerCell {
@@ -114,9 +114,10 @@ impl WorkerCell {
         self.latency.record(dur_ns(d));
     }
 
-    /// The cell's latency histogram.
-    pub fn latency(&self) -> &AtomicHistogram {
-        &self.latency
+    /// Record one stage interval of a request this worker completed.
+    #[inline]
+    pub fn record_stage(&self, stage: Stage, d: Duration) {
+        self.stages.record(stage, d);
     }
 
     /// Read every counter without resetting anything.
@@ -137,6 +138,7 @@ impl WorkerCell {
             write_applied: self.write_applied.load(Ordering::Relaxed),
             write_batches: self.write_batches.load(Ordering::Relaxed),
             latency: self.latency.snapshot(),
+            stages: self.stages.snapshot(),
         }
     }
 }
@@ -176,6 +178,8 @@ pub struct WorkerCellSnapshot {
     pub write_batches: u64,
     /// End-to-end request latencies observed at this worker.
     pub latency: HistogramSnapshot,
+    /// The stage intervals of the requests this worker completed.
+    pub stages: StageSnapshot,
 }
 
 #[cfg(test)]
@@ -196,6 +200,7 @@ mod tests {
         cell.add_write_batch(8, 6);
         cell.add_write_batch(2, 2);
         cell.record_latency(Duration::from_micros(1));
+        cell.record_stage(Stage::Walk, Duration::from_nanos(600));
         let s = cell.snapshot();
         assert_eq!(s.jobs, 3);
         assert_eq!(s.batches, 3);
@@ -211,6 +216,7 @@ mod tests {
         assert_eq!(s.write_applied, 8);
         assert_eq!(s.write_batches, 2);
         assert_eq!(s.latency.count(), 1);
+        assert_eq!(s.stages.get(Stage::Walk).sum_ns, 600);
     }
 
     #[test]

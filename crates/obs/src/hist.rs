@@ -1,49 +1,71 @@
-//! Fixed log2-bucketed latency histograms with lock-free recording.
+//! Log-linear latency histograms with lock-free recording.
 //!
-//! An [`AtomicHistogram`] is a set of 64 power-of-two buckets plus running
-//! sum / min / max registers, all plain `AtomicU64`s. Recording is a handful
-//! of relaxed read-modify-writes; snapshotting reads the registers without
-//! resetting them, so any number of observers can scrape a live histogram
-//! while writers keep recording.
+//! An [`AtomicHistogram`] is a fixed set of log-linear buckets — each
+//! power-of-two octave split into [`SUB_BUCKETS`] equal sub-buckets — plus
+//! running sum / min / max registers, all plain `AtomicU64`s. Recording is
+//! a handful of relaxed read-modify-writes; snapshotting reads the
+//! registers without resetting them, so any number of observers can scrape
+//! a live histogram while writers keep recording.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Number of log2 buckets. Bucket `i` covers `[2^i, 2^(i+1))` nanoseconds
-/// (bucket 0 additionally absorbs zero); bucket 63 absorbs everything above.
-pub const HIST_BUCKETS: usize = 64;
+/// Sub-buckets per power-of-two octave. A bucket spans at most 1/8 of its
+/// lower edge, so a quantile read off a bucket edge is within 12.5% of the
+/// true sample.
+pub const SUB_BUCKETS: usize = 8;
 
-/// Map a nanosecond value to its log2 bucket index.
+/// Octaves resolved before the clamp: samples at or above `2^40` ns
+/// (~18 minutes) land in the top bucket.
+const TOP_OCTAVE: u32 = 40;
+
+/// Number of buckets. Values below [`SUB_BUCKETS`] get one bucket each;
+/// every octave `[2^e, 2^(e+1))` from `e = 3` up to the clamp is split
+/// into [`SUB_BUCKETS`] equal buckets; the last bucket also absorbs
+/// everything above `2^40` ns.
+pub const HIST_BUCKETS: usize = (TOP_OCTAVE as usize - 2) * SUB_BUCKETS;
+
+/// A duration in nanoseconds, saturating at `u64::MAX`.
+#[inline]
+pub(crate) fn dur_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Map a nanosecond value to its bucket index.
 #[inline]
 pub fn bucket_of(ns: u64) -> usize {
-    if ns == 0 {
-        0
-    } else {
-        (63 - ns.leading_zeros()) as usize
+    if ns < SUB_BUCKETS as u64 {
+        return ns as usize;
     }
+    let e = 63 - ns.leading_zeros();
+    if e >= TOP_OCTAVE {
+        return HIST_BUCKETS - 1;
+    }
+    let sub = (ns >> (e - 3)) as usize & (SUB_BUCKETS - 1);
+    (e as usize - 2) * SUB_BUCKETS + sub
 }
 
 /// Inclusive lower edge of bucket `i`, in nanoseconds.
 #[inline]
 pub fn bucket_floor(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << i
+    if i < SUB_BUCKETS {
+        return i as u64;
     }
+    let (e, sub) = (i / SUB_BUCKETS + 2, i % SUB_BUCKETS);
+    ((SUB_BUCKETS + sub) as u64) << (e - 3)
 }
 
 /// Inclusive upper edge of bucket `i`, in nanoseconds.
 #[inline]
 pub fn bucket_ceil(i: usize) -> u64 {
-    if i >= 63 {
+    if i + 1 >= HIST_BUCKETS {
         u64::MAX
     } else {
-        (1u64 << (i + 1)) - 1
+        bucket_floor(i + 1) - 1
     }
 }
 
-/// A lock-free log2 latency histogram.
+/// A lock-free log-linear latency histogram.
 ///
 /// Writers call [`record`](AtomicHistogram::record) concurrently from any
 /// number of threads; readers call [`snapshot`](AtomicHistogram::snapshot)
@@ -89,7 +111,7 @@ impl AtomicHistogram {
     /// Record one sample given as a [`Duration`] (saturating at `u64` ns).
     #[inline]
     pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        self.record(dur_ns(d));
     }
 
     /// Read the current state without resetting it.
@@ -110,7 +132,8 @@ impl AtomicHistogram {
 /// in any order into a service-wide view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket sample counts; bucket `i` covers `[2^i, 2^(i+1))` ns.
+    /// Per-bucket sample counts; bucket `i` covers
+    /// `[bucket_floor(i), bucket_ceil(i)]` ns.
     pub buckets: [u64; HIST_BUCKETS],
     /// Sum of all recorded samples, in nanoseconds.
     pub sum_ns: u64,
@@ -212,26 +235,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_edges_are_powers_of_two() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(4), 2);
-        for i in 1..63 {
-            assert_eq!(bucket_of(1u64 << i), i, "lower edge of bucket {i}");
-            assert_eq!(
-                bucket_of((1u64 << (i + 1)) - 1),
-                i,
-                "upper edge of bucket {i}"
-            );
+    fn bucket_edges_are_log_linear() {
+        // Exact below eight; above, each octave splits into eight equal
+        // spans: [1024, 2048) is eight 128-wide buckets.
+        assert_eq!(
+            (bucket_of(7), bucket_of(8), bucket_of(16), bucket_of(17)),
+            (7, 8, 16, 16)
+        );
+        let b = bucket_of(1024);
+        assert_eq!(
+            (bucket_floor(b), bucket_ceil(b), bucket_of(2047)),
+            (1024, 1151, b + 7)
+        );
+        for i in SUB_BUCKETS..HIST_BUCKETS - 1 {
+            let (lo, hi) = (bucket_floor(i), bucket_ceil(i));
+            assert!(hi - lo < lo / 8, "bucket {i} [{lo}, {hi}] wider than 1/8");
+            assert_eq!((bucket_of(lo), bucket_of(hi)), (i, i));
         }
-        assert_eq!(bucket_of(u64::MAX), 63);
-        assert_eq!(bucket_floor(0), 0);
-        assert_eq!(bucket_ceil(0), 1);
-        assert_eq!(bucket_floor(10), 1024);
-        assert_eq!(bucket_ceil(10), 2047);
-        assert_eq!(bucket_ceil(63), u64::MAX);
+        // Everything from 2^40 ns up clamps into the last bucket, and a
+        // histogram stays at ~2.5 KiB.
+        assert_eq!(bucket_of((1u64 << 40) - 1), HIST_BUCKETS - 1);
+        assert_eq!(bucket_of(u64::MAX), HIST_BUCKETS - 1);
+        assert_eq!(bucket_ceil(HIST_BUCKETS - 1), u64::MAX);
+        assert!(std::mem::size_of::<AtomicHistogram>() <= 2560);
     }
 
     #[test]
@@ -246,9 +272,8 @@ mod tests {
         assert_eq!(s.min(), 0);
         assert_eq!(s.max(), 1_000_000);
         assert!((s.mean_ns() - 1_001_103.0 / 6.0).abs() < 1e-9);
-        // 0 and 1 share bucket 0.
-        assert_eq!(s.buckets[0], 2);
-        assert_eq!(s.buckets[1], 1);
+        // Small values are exact: 0, 1 and 2 each own a bucket.
+        assert_eq!(s.buckets[..3], [1, 1, 1]);
     }
 
     #[test]
@@ -280,8 +305,8 @@ mod tests {
         }
         let s = h.snapshot();
         let p50 = s.quantile(0.5);
-        // rank 4 of 8 -> the sample 80 -> bucket 6 [64,128), ceil 127.
-        assert_eq!(p50, 127);
+        // rank 4 of 8 -> the sample 80 -> bucket [80, 87], ceil 87.
+        assert_eq!(p50, 87);
         assert_eq!(s.quantile(1.0), 1280);
         assert!(s.quantile(0.99) <= s.max());
         assert!(s.quantile(0.01) >= s.min());
@@ -300,7 +325,7 @@ mod tests {
         // All mass in one bucket: every percentile must land inside it.
         let h = AtomicHistogram::new();
         for _ in 0..10_000 {
-            h.record(1_500); // bucket 10: [1024, 2048)
+            h.record(1_500); // bucket [1408, 1535]
         }
         let s = h.snapshot();
         for q in [0.5, 0.99, 0.999] {
@@ -312,7 +337,7 @@ mod tests {
 
     #[test]
     fn percentiles_with_saturated_top_bucket_do_not_panic_or_overflow() {
-        // Bucket 63 absorbs everything >= 2^63; its ceil is u64::MAX.
+        // The top bucket absorbs everything >= 2^40; its ceil is u64::MAX.
         let h = AtomicHistogram::new();
         h.record(u64::MAX);
         h.record(u64::MAX - 1);

@@ -5,32 +5,34 @@
 //! of their cycles stalled on DRAM — and this module is how the live
 //! serving path reproduces that evidence. Each profiled worker thread
 //! opens one `perf-event` [`CounterGroup`] (cycles, instructions, LLC
-//! misses, dTLB misses) and brackets the same regions the aggregate
-//! [`Stage`] seam times: a [`ThreadProfiler::mark`] before the region,
-//! a [`ThreadProfiler::record`] after it, and the delta lands in the
-//! worker's shared [`ProfCell`].
+//! misses, dTLB misses) behind its [`StageClock`]: every stage boundary
+//! reads the clock once, that one reading is the instant the stage
+//! histograms and the traces use, and closing a window at it lands the
+//! counter delta in the worker's shared [`ProfCell`] under a [`Stage`].
 //!
 //! Two properties make the coarse windows honest:
 //!
-//! * the group is scoped to its thread, so a worker blocked in
-//!   `queue_wait` accrues almost no cycles — a handful of read
-//!   syscalls per *batch* (not per key) is enough;
+//! * the group is scoped to its thread, and time the worker spends
+//!   blocked on an empty queue is closed into no stage at all — a
+//!   handful of read syscalls per *batch* (not per key) is enough;
 //! * windows are differenced ([`perf_event::CounterSnapshot::since`]),
 //!   never reset, so overlapping observers can't clobber each other.
 //!
 //! On hosts without usable hardware counters (non-Linux, PMU-less VMs,
 //! `perf_event_paranoid`/seccomp denials) the group degrades to the
-//! `soft` backend: hardware fields stay zero, derived metrics read
-//! `None`, and the software walker [`WalkCounters`] — accumulated here
-//! too — carry the MLP evidence instead. [`ProfSnapshot`] reports which
-//! of the two worlds it measured (`backend` / `hw` / `fallback`).
+//! `soft` backend: only window counts and times are measured, the JSON
+//! and Prometheus renderings leave the hardware fields out, and the
+//! software walker [`WalkCounters`] — accumulated here too — carry the
+//! MLP evidence instead. [`ProfSnapshot`] reports which of the two
+//! worlds it measured (`backend` / `hw` / `fallback`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use perf_event::{CounterGroup, CounterSnapshot};
 
-use crate::stage::Stage;
+use crate::stage::{Stage, STAGES};
 use crate::trace::WalkCounters;
 
 /// Nominal DRAM-miss latency in core cycles used by the first-order
@@ -61,10 +63,10 @@ struct ProfMeta {
 /// One worker's shared profiling accumulators: a counter bin per
 /// [`Stage`] plus the software walker counters the hardware numbers
 /// are cross-checked against. The worker thread adds into it through
-/// its [`ThreadProfiler`]; any observer snapshots it live.
+/// its [`StageClock`]; any observer snapshots it live.
 #[derive(Debug, Default)]
 pub struct ProfCell {
-    per: [StageBin; 6],
+    per: [StageBin; STAGES],
     walk: WalkBin,
     meta: OnceLock<ProfMeta>,
 }
@@ -156,87 +158,77 @@ impl ProfCell {
     }
 }
 
-/// A worker thread's handle on its counter group. Construct with
-/// [`attach`](ThreadProfiler::attach) on the thread being measured
-/// (the group binds to the calling thread), or
-/// [`disabled`](ThreadProfiler::disabled) for a free no-op when
-/// profiling is off — every method is then a branch on a `None`.
+/// A worker thread's stage clock. Every stage boundary calls
+/// [`read`](StageClock::read) once: it returns the boundary's
+/// [`Instant`] — the one timestamp the stage histograms and the traces
+/// share — and, when profiling, reads the thread's counter group at the
+/// same point. [`close`](StageClock::close) then ends the open profiler
+/// window at that last reading and attributes it to a stage. Without
+/// profiling the clock is a bare `Instant::now()`.
 #[derive(Debug)]
-pub struct ThreadProfiler {
-    inner: Option<ProfilerInner>,
+pub struct StageClock {
+    prof: Option<Profiler>,
 }
 
 #[derive(Debug)]
-struct ProfilerInner {
+struct Profiler {
     group: CounterGroup,
     cell: Arc<ProfCell>,
+    /// The counter reading at the last boundary.
+    last: Option<CounterSnapshot>,
+    /// The counter reading the open window started from.
+    opened: Option<CounterSnapshot>,
 }
 
-/// An opaque window-start reading from [`ThreadProfiler::mark`].
-#[derive(Debug)]
-pub struct ProfMark {
-    start: Option<CounterSnapshot>,
-}
-
-impl ThreadProfiler {
-    /// The no-op profiler used when profiling is off.
+impl StageClock {
+    /// A clock for the *calling* thread. With a `cell`, it opens and
+    /// enables a counter group bound to this thread and publishes
+    /// windows into the cell. Never fails: backend degradation is the
+    /// group's business, and an enable error just yields an unprofiled
+    /// clock.
     #[must_use]
-    pub fn disabled() -> ThreadProfiler {
-        ThreadProfiler { inner: None }
+    pub fn new(cell: Option<Arc<ProfCell>>) -> StageClock {
+        let prof = cell.and_then(|cell| {
+            let mut group = CounterGroup::new();
+            cell.note_group(&group);
+            group.enable().ok()?;
+            Some(Profiler {
+                group,
+                cell,
+                last: None,
+                opened: None,
+            })
+        });
+        StageClock { prof }
     }
 
-    /// Open and enable a counter group on the *calling* thread,
-    /// publishing into `cell`. Never fails: backend degradation is the
-    /// group's business, and an enable error just yields a disabled
-    /// profiler.
-    #[must_use]
-    pub fn attach(cell: Arc<ProfCell>) -> ThreadProfiler {
-        let mut group = CounterGroup::new();
-        cell.note_group(&group);
-        if group.enable().is_err() {
-            return ThreadProfiler::disabled();
+    /// Read the clock at a stage boundary: the time and, when profiling,
+    /// the counter group.
+    pub fn read(&mut self) -> Instant {
+        if let Some(prof) = &mut self.prof {
+            prof.last = prof.group.read().ok();
         }
-        ThreadProfiler {
-            inner: Some(ProfilerInner { group, cell }),
-        }
+        Instant::now()
     }
 
-    /// Whether this profiler is actually counting.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Begin a window: read the group now, remember the reading.
-    pub fn mark(&mut self) -> ProfMark {
-        ProfMark {
-            start: self
-                .inner
-                .as_mut()
-                .and_then(|inner| inner.group.read().ok()),
-        }
-    }
-
-    /// End a window opened by [`mark`](ThreadProfiler::mark),
-    /// attributing the delta to `stage`.
-    pub fn record(&mut self, stage: Stage, mark: ProfMark) {
-        let Some(inner) = &mut self.inner else {
+    /// End the open profiler window at the last [`read`](Self::read),
+    /// attributing it to `stage` — or, for `None`, to no stage (a worker
+    /// blocked on its queue). The next window starts at the same reading.
+    pub fn close(&mut self, stage: Option<Stage>) {
+        let Some(prof) = &mut self.prof else {
             return;
         };
-        let Some(start) = mark.start else {
-            return;
-        };
-        let Ok(now) = inner.group.read() else {
-            return;
-        };
-        inner.cell.add(stage, &now.since(&start));
+        if let (Some(stage), Some(from), Some(to)) = (stage, prof.opened, prof.last) {
+            prof.cell.add(stage, &to.since(&from));
+        }
+        prof.opened = prof.last;
     }
 
-    /// Forward one batch's walker counters to the cell (no-op when
-    /// disabled).
+    /// Forward one batch's walker counters to the cell (no-op when not
+    /// profiling).
     pub fn add_walk(&self, counters: &WalkCounters) {
-        if let Some(inner) = &self.inner {
-            inner.cell.add_walk(counters);
+        if let Some(prof) = &self.prof {
+            prof.cell.add_walk(counters);
         }
     }
 }
@@ -327,7 +319,7 @@ pub struct ProfSnapshot {
     /// Worker cells merged into this snapshot.
     pub workers: u64,
     /// Per-[`Stage`] accumulations, indexed in [`Stage::ALL`] order.
-    pub stages: [ProfStageSnapshot; 6],
+    pub stages: [ProfStageSnapshot; STAGES],
     /// Software walker totals across all profiled batches.
     pub walk: WalkCounters,
 }
@@ -339,7 +331,7 @@ impl Default for ProfSnapshot {
             hw: false,
             fallback: None,
             workers: 0,
-            stages: [ProfStageSnapshot::default(); 6],
+            stages: [ProfStageSnapshot::default(); STAGES],
             walk: WalkCounters::default(),
         }
     }
@@ -385,13 +377,24 @@ impl ProfSnapshot {
         (self.walk.rounds > 0).then(|| self.walk.occupancy as f64 / self.walk.rounds as f64)
     }
 
+    /// The stages that recorded at least one window, in pipeline order —
+    /// the only ones the renderings show.
+    pub fn measured_stages(&self) -> impl Iterator<Item = Stage> + '_ {
+        Stage::ALL
+            .into_iter()
+            .filter(|&stage| self.get(stage).windows > 0)
+    }
+
     /// Render as a self-contained JSON object (the `prof` block of the
-    /// stats payload and the `Profile` opcode body).
+    /// stats payload and the `Profile` opcode body). Only measured data
+    /// appears: stages without windows are left out, and on a backend
+    /// without hardware counters so are the counters, the miss-latency
+    /// constant and every ratio derived from them.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str(&format!(
-            "{{\"backend\":\"{}\",\"hw\":{},\"fallback\":{},\"workers\":{},\"miss_latency_cycles\":{}",
+            "{{\"backend\":\"{}\",\"hw\":{},\"fallback\":{},\"workers\":{}",
             crate::json::escape(self.backend),
             self.hw,
             match &self.fallback {
@@ -399,18 +402,20 @@ impl ProfSnapshot {
                 None => "null".to_string(),
             },
             self.workers,
-            MISS_LATENCY_CYCLES
         ));
+        if self.hw {
+            out.push_str(&format!(",\"miss_latency_cycles\":{MISS_LATENCY_CYCLES}"));
+        }
         out.push_str(",\"stages\":{");
-        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+        for (i, stage) in self.measured_stages().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!("\"{}\":", stage.name()));
-            push_stage_json(&mut out, self.get(stage));
+            self.push_stage_json(&mut out, self.get(stage));
         }
         out.push_str("},\"total\":");
-        push_stage_json(&mut out, &self.total());
+        self.push_stage_json(&mut out, &self.total());
         out.push_str(&format!(
             ",\"walk\":{{\"nodes\":{},\"max_chain\":{},\"rounds\":{},\"occupancy\":{},\"prefetches\":{},\"soft_mlp\":{}}}}}",
             self.walk.nodes,
@@ -422,23 +427,28 @@ impl ProfSnapshot {
         ));
         out
     }
-}
 
-fn push_stage_json(out: &mut String, s: &ProfStageSnapshot) {
-    out.push_str(&format!(
-        "{{\"windows\":{},\"cycles\":{},\"instructions\":{},\"llc_misses\":{},\"dtlb_misses\":{},\"time_ns\":{},\"ipc\":{},\"llc_mpki\":{},\"dtlb_mpki\":{},\"stall_fraction\":{},\"effective_mlp\":{}}}",
-        s.windows,
-        s.cycles,
-        s.instructions,
-        s.llc_misses,
-        s.dtlb_misses,
-        s.time_ns,
-        json_f64(s.ipc()),
-        json_f64(s.llc_mpki()),
-        json_f64(s.dtlb_mpki()),
-        json_f64(s.stall_fraction()),
-        json_f64(s.effective_mlp()),
-    ));
+    fn push_stage_json(&self, out: &mut String, s: &ProfStageSnapshot) {
+        out.push_str(&format!(
+            "{{\"windows\":{},\"time_ns\":{}",
+            s.windows, s.time_ns
+        ));
+        if self.hw {
+            out.push_str(&format!(
+                ",\"cycles\":{},\"instructions\":{},\"llc_misses\":{},\"dtlb_misses\":{},\"ipc\":{},\"llc_mpki\":{},\"dtlb_mpki\":{},\"stall_fraction\":{},\"effective_mlp\":{}",
+                s.cycles,
+                s.instructions,
+                s.llc_misses,
+                s.dtlb_misses,
+                json_f64(s.ipc()),
+                json_f64(s.llc_mpki()),
+                json_f64(s.dtlb_mpki()),
+                json_f64(s.stall_fraction()),
+                json_f64(s.effective_mlp()),
+            ));
+        }
+        out.push('}');
+    }
 }
 
 /// A derived metric as a JSON value: fixed-point or `null` when the
@@ -453,37 +463,33 @@ mod tests {
 
     #[test]
     fn disabled_profiler_is_a_no_op() {
-        let cell = Arc::new(ProfCell::new());
-        let mut prof = ThreadProfiler::disabled();
-        assert!(!prof.enabled());
-        let mark = prof.mark();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        prof.record(Stage::Walk, mark);
-        prof.add_walk(&WalkCounters {
-            nodes: 5,
-            ..WalkCounters::default()
-        });
-        let snap = cell.snapshot();
-        assert_eq!(snap.backend, "none");
-        assert_eq!(snap.total(), ProfStageSnapshot::default());
-        assert!(snap.walk.is_zero());
+        let mut clock = StageClock::new(None);
+        let from = clock.read();
+        clock.close(Some(Stage::Walk));
+        assert!(clock.read() >= from, "the clock still tells time");
+        assert!(clock.prof.is_none());
     }
 
     #[test]
     fn attached_profiler_attributes_windows_to_stages() {
         let cell = Arc::new(ProfCell::new());
-        let mut prof = ThreadProfiler::attach(Arc::clone(&cell));
-        assert!(prof.enabled());
+        let mut clock = StageClock::new(Some(Arc::clone(&cell)));
 
-        let mark = prof.mark();
+        // A window closed into no stage (idle) is dropped.
+        clock.read();
+        clock.close(None);
         let mut x = 1u64;
         for i in 0..100_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(i);
         }
         std::hint::black_box(x);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        prof.record(Stage::Walk, mark);
-        prof.add_walk(&WalkCounters {
+        clock.read();
+        clock.close(Some(Stage::Walk));
+        // Back-to-back boundaries share one reading: the gather window
+        // starts where the walk window ended.
+        clock.read();
+        clock.close(Some(Stage::Gather));
+        clock.add_walk(&WalkCounters {
             nodes: 7,
             max_chain: 2,
             rounds: 3,
@@ -496,7 +502,9 @@ mod tests {
         let walk_bin = snap.get(Stage::Walk);
         assert_eq!(walk_bin.windows, 1);
         assert!(walk_bin.time_ns > 0, "window time must advance");
+        assert_eq!(snap.get(Stage::Gather).windows, 1);
         assert_eq!(snap.get(Stage::QueueWait).windows, 0);
+        assert_eq!(snap.total().windows, 2, "the idle window is no stage");
         if snap.hw {
             assert!(walk_bin.cycles > 0);
             assert!(walk_bin.ipc().is_some());
@@ -577,17 +585,28 @@ mod tests {
                 time_running_ns: 800,
             },
         );
-        let json_doc = cell.snapshot().to_json();
-        assert!(json_doc.contains("\"backend\":\"none\""));
-        assert!(json_doc.contains("\"queue_wait\":"));
-        assert!(json_doc.contains("\"walk\":"));
+        // A hardware snapshot renders every counter of its measured
+        // stages, and leaves the unmeasured ones out.
+        let hw = ProfSnapshot {
+            backend: "linux",
+            hw: true,
+            ..cell.snapshot()
+        };
+        let json_doc = hw.to_json();
+        assert!(json_doc.contains("\"backend\":\"linux\""));
+        assert!(json_doc.contains("\"stages\":{\"walk\":{\"windows\":1,"));
+        assert!(!json_doc.contains("\"queue_wait\":"));
         assert_eq!(
             crate::json::find_u64(&json_doc, "miss_latency_cycles"),
             Some(MISS_LATENCY_CYCLES)
         );
         assert!(json_doc.contains("\"ipc\":1.5000"));
-        // Zero-denominator stages render null, not a bogus number.
-        assert!(json_doc.contains("\"ipc\":null"));
-        assert!(!json_doc.contains("NaN"));
+
+        // A soft snapshot shows only what it measured: windows and time,
+        // no hardware counters, constants or ratios.
+        let json_doc = cell.snapshot().to_json();
+        assert!(json_doc.contains("\"backend\":\"none\""));
+        assert!(json_doc.contains("\"stages\":{\"walk\":{\"windows\":1,\"time_ns\":800}}"));
+        assert!(!json_doc.contains("cycles") && !json_doc.contains("ipc"));
     }
 }

@@ -1,35 +1,46 @@
 //! Stage-timing seam: attribute a request's life to pipeline phases.
 //!
-//! Every request passes through up to five phases between `submit` and the
-//! reply bytes leaving the server. [`StageTimes`] holds one shared
-//! [`AtomicHistogram`] per phase; any thread records into it lock-free and
+//! Every stage is a contiguous interval on one request's timeline, from
+//! the frame decode to the reply bytes leaving the server; each boundary
+//! between two stages is one clock reading. [`StageTimes`] holds one
+//! [`AtomicHistogram`] per stage; any thread records into it lock-free and
 //! any observer snapshots it live.
 
 use std::time::Duration;
 
 use crate::hist::{AtomicHistogram, HistogramSnapshot};
 
-/// The phases of a request's life, in pipeline order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The stages of a request's life, in pipeline order. A read part runs
+/// `queue_wait → batch_wait → walk`, a write part `queue_wait → write`;
+/// `net_read` and `reply_write` exist only behind the network tier.
+/// Stages order by pipeline position.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
-    /// Submit to first admission by a worker (time spent in a shard queue).
+    /// Frame decoded off the socket → submitted to the service.
+    NetRead,
+    /// Submitted → admitted into a batch or a write barrier.
     QueueWait,
-    /// Batch open to batch flush (time spent waiting for co-batched work).
+    /// Admitted → the batch closed (size, deadline or shutdown); includes
+    /// the walker steps taken while later parts were fed in.
     BatchWait,
-    /// Time spent actually walking the index, per batch.
+    /// Batch closed → the part's walk drained.
     Walk,
-    /// Time spent applying a write batch to the index (the shard worker
-    /// is its shard's sole writer, so this is pure mutation time).
+    /// The part's application started at the write barrier → applied.
     Write,
-    /// First part completed to last part completed (cross-shard gather).
+    /// First part done → last part done (the cross-shard gather).
     Gather,
-    /// Reply frame encoded to reply bytes flushed to the socket.
+    /// Last part done → reply bytes flushed to the socket: the waker
+    /// hand-off, the encode and the socket write.
     ReplyWrite,
 }
 
+/// Number of [`Stage`]s.
+pub const STAGES: usize = 7;
+
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 6] = [
+    pub const ALL: [Stage; STAGES] = [
+        Stage::NetRead,
         Stage::QueueWait,
         Stage::BatchWait,
         Stage::Walk,
@@ -39,8 +50,10 @@ impl Stage {
     ];
 
     /// Stable snake_case name, used in JSON and Prometheus exposition.
+    #[must_use]
     pub fn name(self) -> &'static str {
         match self {
+            Stage::NetRead => "net_read",
             Stage::QueueWait => "queue_wait",
             Stage::BatchWait => "batch_wait",
             Stage::Walk => "walk",
@@ -52,25 +65,19 @@ impl Stage {
 
     #[inline]
     pub(crate) fn index(self) -> usize {
-        match self {
-            Stage::QueueWait => 0,
-            Stage::BatchWait => 1,
-            Stage::Walk => 2,
-            Stage::Write => 3,
-            Stage::Gather => 4,
-            Stage::ReplyWrite => 5,
-        }
+        self as usize
     }
 }
 
 /// One shared latency histogram per [`Stage`].
 #[derive(Debug, Default)]
 pub struct StageTimes {
-    hists: [AtomicHistogram; 6],
+    hists: [AtomicHistogram; STAGES],
 }
 
 impl StageTimes {
     /// Fresh, all-empty stage histograms.
+    #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
@@ -81,12 +88,8 @@ impl StageTimes {
         self.hists[stage.index()].record_duration(d);
     }
 
-    /// The histogram backing `stage`.
-    pub fn hist(&self, stage: Stage) -> &AtomicHistogram {
-        &self.hists[stage.index()]
-    }
-
-    /// Snapshot all six stages without resetting them.
+    /// Snapshot every stage without resetting it.
+    #[must_use]
     pub fn snapshot(&self) -> StageSnapshot {
         StageSnapshot {
             per: std::array::from_fn(|i| self.hists[i].snapshot()),
@@ -94,16 +97,24 @@ impl StageTimes {
     }
 }
 
-/// Point-in-time copy of all six stage histograms.
+/// Point-in-time copy of every stage histogram.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StageSnapshot {
-    per: [HistogramSnapshot; 6],
+    per: [HistogramSnapshot; STAGES],
 }
 
 impl StageSnapshot {
     /// The snapshot for one stage.
+    #[must_use]
     pub fn get(&self, stage: Stage) -> &HistogramSnapshot {
         &self.per[stage.index()]
+    }
+
+    /// Fold `other` into `self`, stage by stage.
+    pub fn merge_from(&mut self, other: &StageSnapshot) {
+        for (mine, theirs) in self.per.iter_mut().zip(&other.per) {
+            mine.merge_from(theirs);
+        }
     }
 }
 
@@ -117,13 +128,14 @@ mod tests {
         times.record(Stage::QueueWait, Duration::from_nanos(100));
         times.record(Stage::Walk, Duration::from_nanos(200));
         times.record(Stage::Walk, Duration::from_nanos(300));
-        let snap = times.snapshot();
+        let mut snap = times.snapshot();
         assert_eq!(snap.get(Stage::QueueWait).count(), 1);
         assert_eq!(snap.get(Stage::Walk).count(), 2);
         assert_eq!(snap.get(Stage::Walk).sum_ns, 500);
         assert_eq!(snap.get(Stage::Gather).count(), 0);
-        assert_eq!(snap.get(Stage::ReplyWrite).count(), 0);
         assert_eq!(snap.get(Stage::BatchWait), &HistogramSnapshot::default());
+        snap.merge_from(&times.snapshot());
+        assert_eq!(snap.get(Stage::Walk).sum_ns, 1_000);
     }
 
     #[test]
@@ -132,6 +144,7 @@ mod tests {
         assert_eq!(
             names,
             [
+                "net_read",
                 "queue_wait",
                 "batch_wait",
                 "walk",

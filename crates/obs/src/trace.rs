@@ -3,9 +3,11 @@
 //! The aggregate registry ([`crate::WorkerCell`], [`crate::StageTimes`])
 //! answers "what is the p99"; this module answers "why was *that* request
 //! slow". A sampled (or tail-selected) request carries an [`ActiveTrace`]
-//! through the serving stack; each tier appends [`Span`]s and walker-level
-//! [`WalkCounters`], and the completed [`RequestTrace`] lands in a bounded
-//! [`FlightRecorder`] ring that scrapes can drain as JSON.
+//! through the serving stack, collecting walker-level [`WalkCounters`];
+//! its [`Span`]s are built from the same stage-boundary readings the
+//! [`crate::Stage`] histograms record, and the completed [`RequestTrace`]
+//! lands in a bounded [`FlightRecorder`] ring that scrapes can drain as
+//! JSON.
 //!
 //! Sampling policy lives with the caller (head 1-in-N plus a tail
 //! slow-threshold); the recorder only stores completed traces and keeps
@@ -16,59 +18,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::hist::dur_ns;
 use crate::json;
+use crate::stage::Stage;
 
 /// Minimum gap between two slow-request log lines.
 const SLOW_LOG_INTERVAL: Duration = Duration::from_millis(500);
-
-/// Stages a per-request span can cover.
-///
-/// This is deliberately separate from the aggregate [`crate::Stage`]
-/// taxonomy: traces additionally attribute the network read
-/// (frame-decode-to-submit) leg, and the two enums evolve independently.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceStage {
-    /// Frame decoded off the socket up to submission into the service.
-    NetRead,
-    /// Submission until a shard worker admitted the request into a batch.
-    QueueWait,
-    /// Admission until the batch closed (size or deadline).
-    BatchWait,
-    /// Walker execution over the whole batch the request rode in.
-    Walk,
-    /// Write application at the batch barrier (the shard worker is the
-    /// sole writer for its shard).
-    Write,
-    /// First part completed until the final part landed (gather seam).
-    Gather,
-    /// Reply bytes encoded until the flush cursor passed them.
-    ReplyWrite,
-}
-
-impl TraceStage {
-    /// Stable snake_case name used in JSON payloads.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceStage::NetRead => "net_read",
-            TraceStage::QueueWait => "queue_wait",
-            TraceStage::BatchWait => "batch_wait",
-            TraceStage::Walk => "walk",
-            TraceStage::Write => "write",
-            TraceStage::Gather => "gather",
-            TraceStage::ReplyWrite => "reply_write",
-        }
-    }
-}
 
 /// One timed stage within a request trace.
 ///
 /// `start_ns` is the offset from the trace base (the submit or frame-decode
 /// instant), so spans from different threads share one monotonic timeline.
+/// A completed trace's spans tile `[0, total_ns]` in pipeline order: each
+/// starts where the previous one ended.
 #[derive(Clone, Copy, Debug)]
 pub struct Span {
     /// Which stage this span covers.
-    pub stage: TraceStage,
+    pub stage: Stage,
     /// Offset of the span start from the trace base, in nanoseconds.
     pub start_ns: u64,
     /// Span duration in nanoseconds.
@@ -134,6 +100,22 @@ pub struct RequestTrace {
 }
 
 impl RequestTrace {
+    /// Whether the spans tile `[0, total_ns]` in pipeline order: each
+    /// starts where the previous one ended, the first at 0 and the last
+    /// ending at `total_ns` — a request's stage budget, which every trace
+    /// the serving stack completes is.
+    #[must_use]
+    pub fn is_tiled(&self) -> bool {
+        let mut at = 0;
+        let ordered = self.spans.windows(2).all(|w| w[0].stage < w[1].stage);
+        let contiguous = self.spans.iter().all(|span| {
+            let next = span.start_ns == at;
+            at += span.dur_ns;
+            next
+        });
+        ordered && contiguous && at == self.total_ns
+    }
+
     /// Render this trace as a self-contained JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -182,19 +164,15 @@ impl RequestTrace {
 
 /// A trace under construction, carried alongside an in-flight request.
 ///
-/// All span times are offsets from `base`, so annotations from worker and
+/// All span times are offsets from `base`, so spans built on worker and
 /// reactor threads land on one shared timeline without clock agreement
 /// beyond `Instant` monotonicity.
 #[derive(Debug)]
 pub struct ActiveTrace {
     base: Instant,
-    id: u64,
-    kind: &'static str,
     sampled: bool,
-    reactor: Option<u32>,
-    shards: Vec<u32>,
-    spans: Vec<Span>,
-    walk: WalkCounters,
+    /// The trace so far; `total_ns` and `slow` are set at finish.
+    trace: RequestTrace,
 }
 
 impl ActiveTrace {
@@ -205,13 +183,17 @@ impl ActiveTrace {
     pub fn new(base: Instant, id: u64, kind: &'static str, sampled: bool) -> ActiveTrace {
         ActiveTrace {
             base,
-            id,
-            kind,
             sampled,
-            reactor: None,
-            shards: Vec::new(),
-            spans: Vec::with_capacity(8),
-            walk: WalkCounters::default(),
+            trace: RequestTrace {
+                id,
+                kind,
+                total_ns: 0,
+                slow: false,
+                reactor: None,
+                shards: Vec::new(),
+                spans: Vec::with_capacity(8),
+                walk: WalkCounters::default(),
+            },
         }
     }
 
@@ -229,61 +211,38 @@ impl ActiveTrace {
 
     /// Record which reactor decoded the request's frame.
     pub fn set_reactor(&mut self, rix: u32) {
-        self.reactor = Some(rix);
+        self.trace.reactor = Some(rix);
     }
 
     /// Note that `shard`'s worker touched the request (deduplicated).
     pub fn add_shard(&mut self, shard: u32) {
-        if !self.shards.contains(&shard) {
-            self.shards.push(shard);
+        if !self.trace.shards.contains(&shard) {
+            self.trace.shards.push(shard);
         }
     }
 
     /// Merge a walker counter record into the trace.
     pub fn add_walk(&mut self, counters: &WalkCounters) {
-        self.walk.merge(counters);
+        self.trace.walk.merge(counters);
     }
 
     /// Append a span covering `start..end` on the trace timeline.
     /// Instants before `base` clamp to offset zero.
-    pub fn span_between(&mut self, stage: TraceStage, start: Instant, end: Instant) {
-        let start_ns = dur_ns(start.saturating_duration_since(self.base));
-        let dur = dur_ns(end.saturating_duration_since(start));
-        self.spans.push(Span {
+    pub fn span_between(&mut self, stage: Stage, start: Instant, end: Instant) {
+        self.trace.spans.push(Span {
             stage,
-            start_ns,
-            dur_ns: dur,
-        });
-    }
-
-    /// Append a span starting at `start` with an explicit duration.
-    pub fn span_for(&mut self, stage: TraceStage, start: Instant, dur: Duration) {
-        let start_ns = dur_ns(start.saturating_duration_since(self.base));
-        self.spans.push(Span {
-            stage,
-            start_ns,
-            dur_ns: dur_ns(dur),
+            start_ns: dur_ns(start.saturating_duration_since(self.base)),
+            dur_ns: dur_ns(end.saturating_duration_since(start)),
         });
     }
 
     /// Seal the trace with its end-to-end latency and tail verdict.
     #[must_use]
-    pub fn finish(self, total: Duration, slow: bool) -> RequestTrace {
-        RequestTrace {
-            id: self.id,
-            kind: self.kind,
-            total_ns: dur_ns(total),
-            slow,
-            reactor: self.reactor,
-            shards: self.shards,
-            spans: self.spans,
-            walk: self.walk,
-        }
+    pub fn finish(mut self, total: Duration, slow: bool) -> RequestTrace {
+        self.trace.total_ns = dur_ns(total);
+        self.trace.slow = slow;
+        self.trace
     }
-}
-
-fn dur_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Recorder gauges, scrape-coherent (each field individually atomic).
@@ -512,7 +471,7 @@ mod tests {
             prefetches: 5,
         });
         let start = active.base();
-        active.span_for(TraceStage::Walk, start, Duration::from_micros(10));
+        active.span_between(Stage::Walk, start, start + Duration::from_micros(10));
         active.finish(Duration::from_micros(25), slow)
     }
 
@@ -602,9 +561,9 @@ mod tests {
         let mut active = ActiveTrace::new(base, 7, "range_scan", true);
         let start = base + Duration::from_micros(5);
         let end = start + Duration::from_micros(10);
-        active.span_between(TraceStage::QueueWait, start, end);
+        active.span_between(Stage::QueueWait, start, end);
         // An instant before base clamps to offset 0.
-        active.span_between(TraceStage::NetRead, base - Duration::from_micros(1), base);
+        active.span_between(Stage::NetRead, base - Duration::from_micros(1), base);
         let trace = active.finish(Duration::from_micros(20), false);
         assert_eq!(trace.spans[0].start_ns, 5_000);
         assert_eq!(trace.spans[0].dur_ns, 10_000);
@@ -612,6 +571,12 @@ mod tests {
         for span in &trace.spans {
             assert!(span.start_ns + span.dur_ns <= trace.total_ns + 1_000);
         }
+        assert!(!trace.is_tiled(), "a gap, and net-read after queue-wait");
+
+        let mut active = ActiveTrace::new(base, 8, "lookup", true);
+        active.span_between(Stage::QueueWait, base, start);
+        active.span_between(Stage::Walk, start, end);
+        assert!(active.finish(Duration::from_micros(15), false).is_tiled());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests pinning the histogram algebra the telemetry layer
-//! leans on: log₂ bucket boundaries, merge associativity and
+//! leans on: log-linear bucket boundaries, percentile precision against
+//! exact nearest-rank percentiles, merge associativity and
 //! commutativity (shard cells merge in arbitrary order), and snapshot
 //! coherence under concurrent recording (counts only ever grow, and a
 //! quiescent snapshot is exact).
@@ -50,6 +51,33 @@ proptest! {
             prop_assert!(v >= min && v <= max, "q{q} = {v} outside [{min}, {max}]");
             prop_assert!(v >= last, "quantiles must be monotone in q");
             last = v;
+        }
+    }
+
+    /// Recorded p50/p90/p99 are within 12.5% of the exact nearest-rank
+    /// percentiles of the raw samples: a bucket spans at most 1/8 of its
+    /// lower edge. Samples cover a wide dynamic range below the 2^40 ns
+    /// clamp, from single nanoseconds to minutes.
+    #[test]
+    fn percentiles_are_within_an_eighth_of_exact(
+        samples in prop::collection::vec((0u32..40, any::<u64>()), 1..300),
+    ) {
+        let samples: Vec<u64> = samples
+            .into_iter()
+            .map(|(octave, bits)| bits >> (64 - octave.max(1)))
+            .collect();
+        let snap = filled(&samples);
+        let mut sorted = samples.clone();
+        sorted.sort_unstable();
+        for q in [0.5, 0.9, 0.99] {
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            let exact = sorted[rank - 1];
+            let recorded = snap.quantile(q);
+            let err = recorded.abs_diff(exact) as f64;
+            prop_assert!(
+                err <= exact as f64 * 0.125,
+                "q{q}: recorded {recorded} vs exact {exact}"
+            );
         }
     }
 

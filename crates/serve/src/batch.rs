@@ -46,12 +46,12 @@ impl BatchPolicy {
     }
 
     /// Whether a batch holding `keys` keys, opened at `opened`, must
-    /// flush now — and why.
+    /// flush at `now` — and why.
     #[must_use]
-    pub fn flush_due(&self, keys: usize, opened: Instant) -> Option<FlushReason> {
+    pub fn flush_due(&self, keys: usize, opened: Instant, now: Instant) -> Option<FlushReason> {
         if keys >= self.batch_size {
             Some(FlushReason::Size)
-        } else if keys > 0 && opened.elapsed() >= self.deadline {
+        } else if keys > 0 && now.saturating_duration_since(opened) >= self.deadline {
             Some(FlushReason::Deadline)
         } else {
             None
@@ -73,18 +73,20 @@ mod tests {
     fn size_flush_fires_at_target() {
         let p = BatchPolicy::new(8, Duration::from_secs(3600));
         let opened = Instant::now();
-        assert_eq!(p.flush_due(7, opened), None);
-        assert_eq!(p.flush_due(8, opened), Some(FlushReason::Size));
-        assert_eq!(p.flush_due(64, opened), Some(FlushReason::Size));
+        assert_eq!(p.flush_due(7, opened, opened), None);
+        assert_eq!(p.flush_due(8, opened, opened), Some(FlushReason::Size));
+        assert_eq!(p.flush_due(64, opened, opened), Some(FlushReason::Size));
     }
 
     #[test]
     fn deadline_flush_fires_for_nonempty_stale_batches() {
         let p = BatchPolicy::new(1000, Duration::from_millis(1));
-        let opened = Instant::now() - Duration::from_millis(5);
-        assert_eq!(p.flush_due(3, opened), Some(FlushReason::Deadline));
+        let opened = Instant::now();
+        let now = opened + Duration::from_millis(5);
+        assert_eq!(p.flush_due(3, opened, now), Some(FlushReason::Deadline));
+        assert_eq!(p.flush_due(3, opened, opened), None);
         // An empty batch never deadline-flushes — nothing to flush.
-        assert_eq!(p.flush_due(0, opened), None);
+        assert_eq!(p.flush_due(0, opened, now), None);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub use batch::{BatchPolicy, FlushReason};
 pub use ordered::OrderedShardedIndex;
 pub use queue::PushError;
 pub use request::{
-    PendingResponse, PendingStream, Request, Response, StreamConsumed, StreamPoll, TraceFinisher,
+    PendingResponse, PendingStream, ReplyMark, Request, Response, StreamConsumed, StreamPoll,
 };
 pub use service::{NetTraceCtx, ProbeService, ServeConfig, SubmitError};
 pub use shard::ShardedIndex;
@@ -109,5 +109,5 @@ pub use stats::{LatencySummary, NetStats, ReactorStats, ServiceStats, StageStats
 // dependency.
 pub use widx_obs::{
     AtomicHistogram, FlightRecorder, HistogramSnapshot, ReactorGauges, RecorderStats, RequestTrace,
-    Span, Stage, StageSnapshot, StageTimes, TraceStage, WalkCounters,
+    Span, Stage, StageSnapshot, StageTimes, WalkCounters,
 };

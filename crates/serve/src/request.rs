@@ -4,11 +4,11 @@
 //! ([`PendingStream`]).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use widx_obs::{
-    ActiveTrace, FlightRecorder, PendingCommit, Stage, StageTimes, TraceStage, WorkerCell,
+    ActiveTrace, FlightRecorder, PendingCommit, Stage, StageTimes, WalkCounters, WorkerCell,
 };
 
 /// One write operation, as routed to the shard that owns its key. The
@@ -287,9 +287,9 @@ impl StreamState {
 /// Everything a traced request carries until its trace commits: the
 /// span timeline under construction, the recorder to commit into, and
 /// the commit policy. `deferred` marks traces the net tier closes (the
-/// reply-write span outlives the service-side completion), so
-/// [`ResponseState::complete_part`] leaves them in place for
-/// [`PendingResponse::take_trace`] instead of committing at wakeup.
+/// reply-write span outlives the service-side completion), so the final
+/// part's completion leaves them in place for the [`ReplyMark`] instead
+/// of committing at wakeup.
 pub(crate) struct TraceState {
     pub(crate) active: ActiveTrace,
     pub(crate) recorder: Arc<FlightRecorder>,
@@ -300,42 +300,88 @@ pub(crate) struct TraceState {
     /// statement that moved `active` out), so once
     /// [`FlightRecorder::flush`] returns, the recorder has seen this
     /// trace's commit decision — including a deferred trace whose
-    /// finisher was dropped without committing.
+    /// mark was dropped without committing.
     pub(crate) _commit_ticket: PendingCommit,
 }
 
 impl TraceState {
-    /// Commit the trace with latency measured from the trace base to now.
-    fn commit_now(self) {
-        let total = self.active.base().elapsed();
+    /// Seal the trace at `end` and apply the recorder's sampling and
+    /// slow-threshold commit policy.
+    fn commit(self, end: Instant) {
+        let total = end.saturating_duration_since(self.active.base());
         self.recorder.offer(self.active, total, self.slow_threshold);
     }
 }
 
-/// The handle a net-tier reactor uses to close a deferred trace: taken
-/// from a completed request at encode time, annotated with the
-/// reply-write span when the flush cursor passes the reply, then
-/// committed to the flight recorder.
-pub struct TraceFinisher {
-    state: Box<TraceState>,
+/// A completed request handed to a front-end that writes its reply: the
+/// instant its last part finished, which opens the
+/// [`reply_write`](Stage::ReplyWrite) stage, plus its deferred trace when
+/// one rides it. Close it with [`flushed`](ReplyMark::flushed) once the
+/// reply bytes are on the socket; dropping it leaves the stage
+/// unrecorded and the trace uncommitted.
+pub struct ReplyMark {
+    /// `None` when the reply went out before the last part finished (a
+    /// stream its limit ended early).
+    done: Option<Instant>,
+    trace: Option<Box<TraceState>>,
 }
 
-impl TraceFinisher {
-    /// Append the reply-write span (`start` = reply encoded, now =
-    /// bytes flushed to the socket).
-    pub fn note_reply_write(&mut self, start: Instant) {
-        let now = Instant::now();
-        self.state
-            .active
-            .span_between(TraceStage::ReplyWrite, start, now);
-    }
-
-    /// Seal the trace (end-to-end latency = trace base to now) and
-    /// apply the recorder's sampling/slow-threshold commit policy.
-    pub fn commit(self) {
-        self.state.commit_now();
+impl ReplyMark {
+    /// Close the reply-write stage at `flushed`: record it into `stages`
+    /// and commit the trace, whose last span now ends at `flushed`.
+    pub fn flushed(self, stages: &StageTimes, flushed: Instant) {
+        if let Some(done) = self.done {
+            stages.record(Stage::ReplyWrite, flushed.saturating_duration_since(done));
+        }
+        if let Some(mut trace) = self.trace {
+            if let Some(done) = self.done {
+                trace.active.span_between(Stage::ReplyWrite, done, flushed);
+            }
+            trace.commit(flushed);
+        }
     }
 }
+
+/// The instants one shard part crossed its worker's stage boundaries —
+/// each a single clock reading the worker also used for its profiler
+/// window. With the request's submit instant they tile the part's life.
+#[derive(Clone, Copy)]
+pub(crate) struct PartStamps {
+    /// Admitted into a batch, or its application began at a write barrier.
+    pub(crate) admitted: Instant,
+    /// The part's batch closed; `None` for a write part.
+    pub(crate) closed: Option<Instant>,
+    /// The part completed: its batch drained, or its ops were applied.
+    pub(crate) done: Instant,
+}
+
+impl PartStamps {
+    /// The part's stages as `(stage, end)` in pipeline order; each stage
+    /// starts where the previous one ended, the first at submit.
+    fn ends(self) -> impl Iterator<Item = (Stage, Instant)> {
+        let (work, walked) = match self.closed {
+            Some(closed) => (Stage::Walk, Some((Stage::BatchWait, closed))),
+            None => (Stage::Write, None),
+        };
+        std::iter::once((Stage::QueueWait, self.admitted))
+            .chain(walked)
+            .chain(std::iter::once((work, self.done)))
+    }
+}
+
+/// One shard part finishing at its worker: its stamps, plus the worker's
+/// shard (for traces), cell (the histogram home of a request it
+/// completes) and the walker counters of the part's batch.
+pub(crate) struct PartDone<'a> {
+    pub(crate) stamps: PartStamps,
+    pub(crate) shard: u32,
+    pub(crate) cell: &'a WorkerCell,
+    pub(crate) walk: WalkCounters,
+}
+
+/// What the final part's completion hands out once the lock drops: the
+/// latency, and an in-process trace to seal at the last part's done.
+type Finished = (Duration, Option<(Box<TraceState>, Instant)>);
 
 pub(crate) struct PendingInner {
     pub(crate) parts_left: usize,
@@ -348,11 +394,13 @@ pub(crate) struct PendingInner {
     /// loop can skip scanning pending lists that saw no progress.
     waker: Option<Arc<dyn Fn() + Send + Sync>>,
     pub(crate) kind: RequestKind,
-    /// When the first shard-part finished — the start of the gather
-    /// window ([`Stage::Gather`] spans first-done to last-done).
-    first_done: Option<Instant>,
-    /// Stage-timing sink, when the owning service attached one.
-    stages: Option<Arc<StageTimes>>,
+    /// The stamps of the part that finished first (earliest `done`): its
+    /// stages, then the gather, tile the request's life.
+    first: Option<PartStamps>,
+    /// The latest part `done` so far — once every part has finished, the
+    /// request's completion instant (the submit instant for a request
+    /// born complete).
+    last_done: Option<Instant>,
     /// Per-request trace under construction, when sampling armed one.
     trace: Option<Box<TraceState>>,
     pub(crate) done: bool,
@@ -364,17 +412,14 @@ pub(crate) struct PendingInner {
 pub(crate) struct ResponseState {
     pub(crate) inner: Mutex<PendingInner>,
     pub(crate) ready: Condvar,
-    /// Submission time — immutable after construction, so the queue-wait
-    /// seam reads it without taking the lock.
-    submitted: Instant,
-    /// Whether a trace rides this request — immutable after
-    /// construction, so workers skip the annotation lock entirely on
-    /// the (default) untraced path.
-    traced: bool,
+    /// Submission time — the start of every request's timeline (or of its
+    /// `queue_wait`, behind a network tier); immutable after construction.
+    pub(crate) submitted: Instant,
 }
 
 impl ResponseState {
     pub(crate) fn new(kind: RequestKind, parts: usize) -> ResponseState {
+        let submitted = Instant::now();
         ResponseState {
             inner: Mutex::new(PendingInner {
                 parts_left: parts,
@@ -382,71 +427,38 @@ impl ResponseState {
                 stream: None,
                 waker: None,
                 kind,
-                first_done: None,
-                stages: None,
+                first: None,
+                last_done: (parts == 0).then_some(submitted),
                 trace: None,
                 done: parts == 0,
             }),
             ready: Condvar::new(),
-            submitted: Instant::now(),
-            traced: false,
+            submitted,
         }
-    }
-
-    /// Attaches the service's stage-timing sink. Must be called before
-    /// the state is shared (it takes `self` by value precisely so no
-    /// lock is needed).
-    pub(crate) fn with_stages(mut self, stages: &Arc<StageTimes>) -> ResponseState {
-        self.inner.get_mut().expect("pending lock").stages = Some(Arc::clone(stages));
-        self
     }
 
     /// Attaches an armed trace. Must be called before the state is
-    /// shared (by value, like [`with_stages`](Self::with_stages)). A
-    /// zero-part request is already complete, so a non-deferred trace
-    /// commits on the spot instead of waiting for a completion that
-    /// will never run.
+    /// shared (it takes `self` by value precisely so no lock is needed).
+    /// A zero-part request is already complete, so a non-deferred trace
+    /// commits on the spot instead of waiting for a completion that will
+    /// never run.
     pub(crate) fn with_trace(mut self, trace: Box<TraceState>) -> ResponseState {
         let inner = self.inner.get_mut().expect("pending lock");
         if inner.done && !trace.deferred {
-            trace.commit_now();
+            trace.commit(self.submitted);
             return self;
         }
         inner.trace = Some(trace);
-        self.traced = true;
         self
     }
 
-    /// Whether a trace rides this request (lock-free).
-    pub(crate) fn is_traced(&self) -> bool {
-        self.traced
-    }
-
-    /// Run `f` over the trace under construction (no-op when the trace
-    /// is absent or already committed). `f` also receives the submit
-    /// instant, the anchor for queue-wait spans. Keep `f` short — it
-    /// runs under the completion lock.
-    pub(crate) fn trace_annotate(&self, f: impl FnOnce(&mut ActiveTrace, Instant)) {
-        let mut inner = self.inner.lock().expect("pending lock");
-        if let Some(trace) = inner.trace.as_deref_mut() {
-            f(&mut trace.active, self.submitted);
+    /// The mark a front-end closes once the reply to this (completed)
+    /// request is flushed: the completion instant plus any deferred trace.
+    fn reply_mark(&self, inner: &mut PendingInner) -> ReplyMark {
+        ReplyMark {
+            done: inner.last_done.filter(|_| inner.done),
+            trace: inner.trace.take(),
         }
-    }
-
-    /// Detach the trace for the net tier to close (reply-write span +
-    /// commit). Returns `None` when no trace rides the request or it
-    /// was already taken/committed.
-    pub(crate) fn take_trace(&self) -> Option<TraceFinisher> {
-        if !self.traced {
-            return None;
-        }
-        let mut inner = self.inner.lock().expect("pending lock");
-        inner.trace.take().map(|state| TraceFinisher { state })
-    }
-
-    /// Time since the request was submitted (lock-free).
-    pub(crate) fn since_submit(&self) -> std::time::Duration {
-        self.submitted.elapsed()
     }
 
     /// A streaming state: `parts` scatter ranks whose chunks the seam
@@ -468,7 +480,6 @@ impl ResponseState {
     pub(crate) fn is_streaming(&self) -> bool {
         self.inner.lock().expect("pending lock").stream.is_some()
     }
-
     /// Releases everything releasable: the head rank's stashed chunks,
     /// advancing `head` over completed ranks. Returns true when the
     /// consumer-visible state changed (a chunk released, or the limit
@@ -548,15 +559,8 @@ impl ResponseState {
 
     /// Called by a shard worker when a streaming scan's part for
     /// scatter rank `rank` has fully drained (every chunk pushed).
-    /// Returns the completion latency when this was the final part,
-    /// already recorded into `cell` **before** any completion signal —
-    /// a caller whose `wait()` has returned must find the request
-    /// counted by a `live_stats()` scrape.
-    pub(crate) fn complete_stream_part(
-        &self,
-        rank: u32,
-        cell: Option<&WorkerCell>,
-    ) -> Option<std::time::Duration> {
+    /// Returns the completion latency when this was the final part.
+    pub(crate) fn complete_stream_part(&self, rank: u32, part: &PartDone<'_>) -> Option<Duration> {
         let mut inner = self.inner.lock().expect("pending lock");
         let stream = inner
             .stream
@@ -564,107 +568,91 @@ impl ResponseState {
             .expect("stream part completed on a buffered request");
         stream.ranks[rank as usize].done = true;
         Self::drain_released(stream);
-        if inner.first_done.is_none() {
-            inner.first_done = Some(Instant::now());
-        }
-        inner.parts_left -= 1;
-        let mut commit = None;
-        let latency = if inner.parts_left == 0 {
-            inner.done = true;
-            if let (Some(stages), Some(first)) = (inner.stages.as_ref(), inner.first_done) {
-                stages.record(Stage::Gather, first.elapsed());
-            }
-            let latency = self.submitted.elapsed();
-            commit = self.close_trace(&mut inner, latency);
-            if let Some(cell) = cell {
-                cell.record_latency(latency);
-            }
-            Some(latency)
-        } else {
-            None
-        };
+        let finished = self.finish_part(&mut inner, part);
         // Head advancement may have released chunks, and completion may
         // have ended the stream — wake unconditionally; spurious wakes
         // only cost the consumer one empty poll.
-        self.ready.notify_all();
-        let waker = inner.waker.clone();
-        drop(inner);
-        if let Some((trace, latency)) = commit {
-            trace
-                .recorder
-                .offer(trace.active, latency, trace.slow_threshold);
-        }
-        if let Some(wake) = waker {
-            wake();
-        }
-        latency
-    }
-
-    /// On final-part completion: append the gather span to the trace
-    /// and, for a non-deferred (in-process) trace, detach it for commit
-    /// once the lock drops. Deferred traces stay attached — the net
-    /// tier takes them at encode time and closes them at flush.
-    fn close_trace(
-        &self,
-        inner: &mut PendingInner,
-        latency: Duration,
-    ) -> Option<(Box<TraceState>, Duration)> {
-        let first = inner.first_done;
-        let trace = inner.trace.as_deref_mut()?;
-        if let Some(first) = first {
-            trace
-                .active
-                .span_between(TraceStage::Gather, first, Instant::now());
-        }
-        if trace.deferred {
-            None
-        } else {
-            inner.trace.take().map(|t| (t, latency))
-        }
+        self.release(inner, finished)
     }
 
     /// Called by a shard worker when this request's slice of a batch has
     /// fully drained. Returns the request's completion latency when this
-    /// was the final outstanding part, already recorded into `cell`
-    /// **before** any completion signal — a caller whose `wait()` has
-    /// returned must find the request counted by a `live_stats()`
-    /// scrape.
+    /// was the final outstanding part.
     pub(crate) fn complete_part(
         &self,
         items: &[RoutedMatch],
-        cell: Option<&WorkerCell>,
-    ) -> Option<std::time::Duration> {
+        part: &PartDone<'_>,
+    ) -> Option<Duration> {
         let mut inner = self.inner.lock().expect("pending lock");
         inner.items.extend_from_slice(items);
-        if inner.first_done.is_none() {
-            inner.first_done = Some(Instant::now());
+        let finished = self.finish_part(&mut inner, part)?;
+        self.release(inner, Some(finished))
+    }
+
+    /// Folds one finished part into the request, under its lock. The
+    /// final part records the request into the completing worker's cell
+    /// **before** any completion signal — a caller whose `wait()` has
+    /// returned must find the request counted by a `live_stats()` scrape:
+    /// the first-done part's stages, then the gather to the last part's
+    /// `done`, each the difference of two stamps, and the latency from
+    /// submit to that same `done` — so the stages add up to the latency
+    /// exactly. The trace's spans are built from the same instants.
+    fn finish_part(&self, inner: &mut PendingInner, part: &PartDone<'_>) -> Option<Finished> {
+        if let Some(trace) = inner.trace.as_deref_mut() {
+            trace.active.add_shard(part.shard);
+            trace.active.add_walk(&part.walk);
         }
+        let stamps = part.stamps;
+        if inner.first.is_none_or(|first| stamps.done < first.done) {
+            inner.first = Some(stamps);
+        }
+        inner.last_done = inner.last_done.max(Some(stamps.done));
         inner.parts_left -= 1;
-        if inner.parts_left == 0 {
-            inner.done = true;
-            if let (Some(stages), Some(first)) = (inner.stages.as_ref(), inner.first_done) {
-                stages.record(Stage::Gather, first.elapsed());
-            }
-            let latency = self.submitted.elapsed();
-            let commit = self.close_trace(&mut inner, latency);
-            if let Some(cell) = cell {
-                cell.record_latency(latency);
-            }
-            self.ready.notify_all();
-            let waker = inner.waker.clone();
-            drop(inner);
-            if let Some((trace, latency)) = commit {
-                trace
-                    .recorder
-                    .offer(trace.active, latency, trace.slow_threshold);
-            }
-            if let Some(wake) = waker {
-                wake();
-            }
-            Some(latency)
-        } else {
-            None
+        if inner.parts_left > 0 {
+            return None;
         }
+        inner.done = true;
+        let (first, last) = (inner.first?, inner.last_done?);
+        let mut from = self.submitted;
+        for (stage, end) in first.ends().chain(std::iter::once((Stage::Gather, last))) {
+            part.cell
+                .record_stage(stage, end.saturating_duration_since(from));
+            if let Some(trace) = inner.trace.as_deref_mut() {
+                trace.active.span_between(stage, from, end);
+            }
+            from = end;
+        }
+        let latency = last.saturating_duration_since(self.submitted);
+        part.cell.record_latency(latency);
+        let commit = match &inner.trace {
+            Some(trace) if !trace.deferred => inner.trace.take().map(|trace| (trace, last)),
+            _ => None,
+        };
+        Some((latency, commit))
+    }
+
+    /// Signals progress once a part's completion is folded in: wakes
+    /// blocked waiters, commits an in-process trace, then runs the
+    /// completion hook, all after the lock drops. Returns the latency
+    /// when the request completed.
+    fn release(
+        &self,
+        inner: MutexGuard<'_, PendingInner>,
+        finished: Option<Finished>,
+    ) -> Option<Duration> {
+        self.ready.notify_all();
+        let waker = inner.waker.clone();
+        drop(inner);
+        let latency = finished.map(|(latency, commit)| {
+            if let Some((trace, end)) = commit {
+                trace.commit(end);
+            }
+            latency
+        });
+        if let Some(wake) = waker {
+            wake();
+        }
+        latency
     }
 
     /// Installs the completion hook, invoking it immediately (once)
@@ -697,11 +685,21 @@ impl PendingResponse {
     /// Blocks until the request completes and assembles its response.
     #[must_use]
     pub fn wait(self) -> Response {
+        self.wait_reply().0
+    }
+
+    /// [`wait`](Self::wait) for a front-end that writes the reply itself:
+    /// also hands back the [`ReplyMark`] that records the request's
+    /// reply-write stage, and commits its deferred trace, once the reply
+    /// bytes are flushed.
+    #[must_use]
+    pub fn wait_reply(self) -> (Response, ReplyMark) {
         let mut inner = self.state.inner.lock().expect("pending lock");
         while !inner.done {
             inner = self.state.ready.wait(inner).expect("pending wait");
         }
-        Self::assemble(&mut inner)
+        let mark = self.state.reply_mark(&mut inner);
+        (Self::assemble(&mut inner), mark)
     }
 
     /// Like [`wait`](PendingResponse::wait), but gives up after
@@ -800,15 +798,6 @@ impl PendingResponse {
     /// every entry every tick. Replaces any previously installed hook.
     pub fn set_waker(&self, waker: impl Fn() + Send + Sync + 'static) {
         self.state.install_waker(Arc::new(waker));
-    }
-
-    /// Detach this request's trace for the net tier to close (reply-write
-    /// span + commit). Returns `None` when the request is untraced or the
-    /// trace already committed in-process. Call only once the response is
-    /// ready — worker annotations have finished by then.
-    #[must_use]
-    pub fn take_trace(&self) -> Option<TraceFinisher> {
-        self.state.take_trace()
     }
 }
 
@@ -949,12 +938,16 @@ impl PendingStream {
         self.state.install_waker(Arc::new(waker));
     }
 
-    /// Detach this stream's trace for the net tier to close — see
-    /// [`PendingResponse::take_trace`]. Take it only once the stream has
-    /// ended (`StreamPoll::End`), when every shard part has completed.
+    /// The [`ReplyMark`] of this stream, for a front-end to close once
+    /// the stream's final frame is flushed — see
+    /// [`PendingResponse::wait_reply`]. Take it once the stream has ended
+    /// (`StreamPoll::End`). A stream its limit ended while shards were
+    /// still scanning has no completion instant yet: its mark records no
+    /// reply-write stage.
     #[must_use]
-    pub fn take_trace(&self) -> Option<TraceFinisher> {
-        self.state.take_trace()
+    pub fn reply_mark(&self) -> ReplyMark {
+        let mut inner = self.state.inner.lock().expect("pending lock");
+        self.state.reply_mark(&mut inner)
     }
 }
 
@@ -969,7 +962,57 @@ impl Iterator for PendingStream {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::LazyLock;
+
     use super::*;
+
+    static CELL: LazyLock<WorkerCell> = LazyLock::new(WorkerCell::new);
+
+    /// A read part finishing now, recorded into a shared throwaway cell.
+    fn part() -> PartDone<'static> {
+        let now = Instant::now();
+        PartDone {
+            stamps: PartStamps {
+                admitted: now,
+                closed: Some(now),
+                done: now,
+            },
+            shard: 0,
+            cell: &CELL,
+            walk: WalkCounters::default(),
+        }
+    }
+
+    #[test]
+    fn stages_tile_submit_to_the_last_part_done() {
+        let cell = WorkerCell::new();
+        let done = |state: &ResponseState, admitted, closed: Option<u64>, done| PartDone {
+            stamps: PartStamps {
+                admitted: state.submitted + Duration::from_micros(admitted),
+                closed: closed.map(|us| state.submitted + Duration::from_micros(us)),
+                done: state.submitted + Duration::from_micros(done),
+            },
+            shard: 1,
+            cell: &cell,
+            walk: WalkCounters::default(),
+        };
+        // The part completing second finished its walk first: its stages
+        // open the timeline, the gather runs to the other part's done.
+        let state = ResponseState::new(RequestKind::MultiLookup, 2);
+        assert!(state
+            .complete_part(&[], &done(&state, 3, Some(9), 20))
+            .is_none());
+        let latency = state.complete_part(&[], &done(&state, 2, Some(5), 11));
+        assert_eq!(latency, Some(Duration::from_micros(20)));
+        let write = ResponseState::new(RequestKind::Write { ops: 1 }, 1);
+        let _ = write.complete_part(&[], &done(&write, 4, None, 7));
+
+        let snap = cell.snapshot();
+        let sums: Vec<u64> = Stage::ALL.map(|s| snap.stages.get(s).sum_ns / 1000).into();
+        // net_read, queue_wait, batch_wait, walk, write, gather, reply_write
+        assert_eq!(sums, [0, 2 + 4, 3, 6, 3, 9, 0]);
+        assert_eq!(snap.latency.sum_ns, 27_000);
+    }
 
     #[test]
     fn request_keys_views() {
@@ -990,9 +1033,9 @@ mod tests {
         let state = Arc::new(ResponseState::new(RequestKind::RangeScan { limit: 5 }, 3));
         // Parts complete out of shard order; each part is key-ordered
         // with a disjoint key range. Duplicates (key 20) sit in one part.
-        state.complete_part(&[(1, 20, 1), (1, 20, 2), (1, 25, 0)], None);
-        state.complete_part(&[(2, 30, 9), (2, 31, 9)], None);
-        state.complete_part(&[(0, 10, 7), (0, 11, 8)], None);
+        state.complete_part(&[(1, 20, 1), (1, 20, 2), (1, 25, 0)], &part());
+        state.complete_part(&[(2, 30, 9), (2, 31, 9)], &part());
+        state.complete_part(&[(0, 10, 7), (0, 11, 8)], &part());
         match (PendingResponse { state }).wait() {
             Response::RangeScan { entries } => {
                 assert_eq!(
@@ -1009,8 +1052,8 @@ mod tests {
     fn write_acks_assemble_positionally_from_routed_rows() {
         // 4 ops scattered over two shard parts; op 2 missed.
         let state = Arc::new(ResponseState::new(RequestKind::Write { ops: 4 }, 2));
-        state.complete_part(&[(0, 10, 1), (2, 30, 0)], None);
-        state.complete_part(&[(1, 20, 1), (3, 40, 1)], None);
+        state.complete_part(&[(0, 10, 1), (2, 30, 0)], &part());
+        state.complete_part(&[(1, 20, 1), (3, 40, 1)], &part());
         match (PendingResponse { state }).wait() {
             Response::Write { acks } => assert_eq!(acks, vec![true, true, false, true]),
             other => panic!("wrong variant: {other:?}"),
@@ -1060,8 +1103,8 @@ mod tests {
     #[test]
     fn completion_assembles_lookup() {
         let state = Arc::new(ResponseState::new(RequestKind::Lookup { key: 5 }, 2));
-        assert!(state.complete_part(&[(0, 5, 50)], None).is_none());
-        let latency = state.complete_part(&[(0, 5, 51)], None);
+        assert!(state.complete_part(&[(0, 5, 50)], &part()).is_none());
+        let latency = state.complete_part(&[(0, 5, 51)], &part());
         assert!(latency.is_some(), "last part yields the latency");
         let resp = PendingResponse { state }.wait();
         match resp {
@@ -1076,7 +1119,7 @@ mod tests {
     #[test]
     fn join_rows_survive_routing() {
         let state = Arc::new(ResponseState::new(RequestKind::JoinProbe, 1));
-        state.complete_part(&[(7, 100, 1), (2, 100, 1)], None);
+        state.complete_part(&[(7, 100, 1), (2, 100, 1)], &part());
         match (PendingResponse { state }).wait() {
             Response::JoinProbe { mut pairs } => {
                 pairs.sort_unstable();
@@ -1095,7 +1138,7 @@ mod tests {
         let pending = pending
             .wait_timeout(std::time::Duration::from_millis(10))
             .expect_err("not complete yet");
-        state.complete_part(&[(0, 1, 2)], None);
+        state.complete_part(&[(0, 1, 2)], &part());
         match pending.wait_timeout(std::time::Duration::from_secs(5)) {
             Ok(Response::MultiLookup { matches }) => assert_eq!(matches, vec![(1, 2)]),
             other => panic!("unexpected: {:?}", other.map_err(|_| "timeout")),
@@ -1135,13 +1178,13 @@ mod tests {
         assert_eq!(stream.try_next(), StreamPoll::Chunk(vec![(2, 0)]));
         assert_eq!(stream.try_next(), StreamPoll::Pending);
         // Rank 0 completes: rank 1's stash releases, in order.
-        assert!(state.complete_stream_part(0, None).is_none());
+        assert!(state.complete_stream_part(0, &part()).is_none());
         assert_eq!(stream.try_next(), StreamPoll::Chunk(vec![(20, 0), (21, 0)]));
         assert_eq!(stream.try_next(), StreamPoll::Pending);
         // Ranks 1 and 2 complete (2 pushed nothing): stream ends, and
         // the final completion reports the latency.
-        assert!(state.complete_stream_part(1, None).is_none());
-        assert!(state.complete_stream_part(2, None).is_some());
+        assert!(state.complete_stream_part(1, &part()).is_none());
+        assert!(state.complete_stream_part(2, &part()).is_some());
         assert_eq!(stream.try_next(), StreamPoll::End);
     }
 
@@ -1154,7 +1197,7 @@ mod tests {
         state.push_chunk(1, vec![(50, 0), (51, 0), (52, 0)]); // stashed
         state.push_chunk(0, vec![(1, 0), (2, 0)]);
         assert_eq!(stream.next(), Some(vec![(1, 0), (2, 0)]));
-        assert!(state.complete_stream_part(0, None).is_none());
+        assert!(state.complete_stream_part(0, &part()).is_none());
         // One entry of rank 1's stash survives the limit; the rest is
         // discarded and the stream ends even though rank 1's part is
         // still "running".
@@ -1163,7 +1206,7 @@ mod tests {
         assert!(stream.is_ready());
         // The straggler part still completes for latency accounting.
         state.push_chunk(1, vec![(53, 0)]); // dropped
-        assert!(state.complete_stream_part(1, None).is_some());
+        assert!(state.complete_stream_part(1, &part()).is_some());
         assert_eq!(stream.try_next(), StreamPoll::End);
     }
 
@@ -1192,7 +1235,7 @@ mod tests {
         assert_eq!(wakes.load(Ordering::Relaxed), 0, "nothing ready yet");
         state.push_chunk(0, vec![(1, 1)]);
         assert_eq!(wakes.load(Ordering::Relaxed), 1, "chunk ready");
-        state.complete_stream_part(0, None);
+        state.complete_stream_part(0, &part());
         assert_eq!(wakes.load(Ordering::Relaxed), 2, "end of stream");
         // Late registration on an already-ready state fires immediately.
         let late = Arc::new(AtomicU64::new(0));
@@ -1215,9 +1258,9 @@ mod tests {
         pending.set_waker(move || {
             counter.fetch_add(1, Ordering::Relaxed);
         });
-        state.complete_part(&[(0, 1, 2)], None);
+        state.complete_part(&[(0, 1, 2)], &part());
         assert_eq!(wakes.load(Ordering::Relaxed), 0, "one part still out");
-        state.complete_part(&[], None);
+        state.complete_part(&[], &part());
         assert_eq!(wakes.load(Ordering::Relaxed), 1, "completion woke");
         assert!(pending.is_ready());
     }
@@ -1256,8 +1299,8 @@ mod tests {
             stream.try_next_with(|_| panic!("pending")),
             StreamConsumed::Pending
         );
-        assert!(state.complete_stream_part(0, None).is_none());
-        assert!(state.complete_stream_part(1, None).is_some());
+        assert!(state.complete_stream_part(0, &part()).is_none());
+        assert!(state.complete_stream_part(1, &part()).is_some());
         assert_eq!(
             stream.try_next_with(|_| panic!("ended")),
             StreamConsumed::End
@@ -1294,7 +1337,7 @@ mod tests {
         let pusher = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
             state.push_chunk(0, vec![(7, 7)]);
-            state.complete_stream_part(0, None);
+            state.complete_stream_part(0, &part());
         });
         assert_eq!(stream.next(), Some(vec![(7, 7)]));
         assert_eq!(stream.next(), None);

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use widx_db::hash::HashRecipe;
 use widx_obs::{
-    ActiveTrace, FlightRecorder, HistogramSnapshot, ProfCell, ProfSnapshot, StageTimes, TraceStage,
+    ActiveTrace, FlightRecorder, HistogramSnapshot, ProfCell, ProfSnapshot, Stage, StageTimes,
     WorkerCell,
 };
 use widx_soft::ScanRange;
@@ -207,18 +207,19 @@ impl std::error::Error for SubmitError {}
 
 /// What the net tier knows about a request when it submits one on
 /// behalf of a connection — passed to the `*_traced` submission surface
-/// so an armed trace is anchored at the frame-decode instant, carries
-/// the wire request id, and is *deferred*: the service leaves the
-/// completed trace attached for the reactor to close with the
-/// reply-write span (see `PendingResponse::take_trace`).
+/// so the service records the request's `net_read` stage (frame decoded
+/// → submitted), and so an armed trace is anchored at the frame-decode
+/// instant, carries the wire request id, and is *deferred*: the service
+/// leaves the completed trace attached for the reactor to close with the
+/// reply-write span (see `PendingResponse::wait_reply`).
 #[derive(Clone, Copy, Debug)]
 pub struct NetTraceCtx {
     /// Index of the reactor that decoded the frame.
     pub reactor: u32,
     /// The wire request id.
     pub id: u64,
-    /// When the frame finished decoding — the trace timeline's base, so
-    /// the net-read (decode-to-submit) leg is on the record.
+    /// When the frame finished decoding — the start of the `net_read`
+    /// stage and of the trace timeline.
     pub decoded_at: Instant,
 }
 
@@ -248,8 +249,9 @@ pub struct ProbeService {
     /// when the config enabled profiling — empty otherwise, which is
     /// also how `snapshot_stats` knows profiling is off.
     prof_cells: Vec<Arc<ProfCell>>,
-    /// The shared stage-timing seam (queue-wait / batch-wait / walk /
-    /// write / gather / reply-write).
+    /// The histogram home of the front-end stages (`net_read`,
+    /// `reply_write`); the worker stages live in the completing worker's
+    /// cell.
     stages: Arc<StageTimes>,
     /// The per-request trace ring; always present, only written when
     /// the sampling knobs arm traces.
@@ -370,7 +372,6 @@ impl ProbeService {
         let policy = BatchPolicy::new(config.batch_size, config.batch_deadline);
         let sharded = Arc::new(sharded);
         let ordered = ordered.map(Arc::new);
-        let stages = Arc::new(StageTimes::new());
         let shards = sharded.shard_count();
         let queues: Vec<Arc<ShardQueue>> = (0..shards)
             .map(|_| Arc::new(ShardQueue::new(config.queue_capacity)))
@@ -395,7 +396,6 @@ impl ProbeService {
                     inflight: config.inflight,
                     stream_chunk: config.stream_chunk,
                     cell: Arc::clone(&cells[shard]),
-                    stages: Arc::clone(&stages),
                     prof: prof_cells.get(shard).cloned(),
                 };
                 std::thread::Builder::new()
@@ -411,7 +411,7 @@ impl ProbeService {
             workers,
             cells,
             prof_cells,
-            stages,
+            stages: Arc::new(StageTimes::new()),
             recorder: Arc::new(FlightRecorder::new(config.trace_capacity)),
             trace_seq: AtomicU64::new(0),
             trace_sample: config.trace_sample,
@@ -439,14 +439,6 @@ impl ProbeService {
     #[must_use]
     pub fn backlog(&self) -> Vec<usize> {
         self.queues.iter().map(|q| q.backlog_keys()).collect()
-    }
-
-    /// Whether the sampling knobs can ever arm a trace — the cheap
-    /// check front-ends use to skip building a [`NetTraceCtx`] when
-    /// tracing is off.
-    #[must_use]
-    pub fn tracing_armed(&self) -> bool {
-        self.trace_sample > 0 || self.slow_threshold.is_some()
     }
 
     /// The per-request flight recorder (always present; empty unless
@@ -496,37 +488,43 @@ impl ProbeService {
         }
     }
 
-    /// Decide whether this request carries a trace, and build it. Runs
-    /// at plan time, *before* the request is enqueued, which is what
-    /// makes net-deferred commits race-free: the deferral policy is
-    /// fixed before any worker can complete the request.
-    fn arm_trace(&self, kind: &'static str, net: Option<&NetTraceCtx>) -> Option<Box<TraceState>> {
-        if !self.tracing_armed() {
-            return None;
+    /// Shares `state` with the workers, first arming its trace when the
+    /// sampling knobs select the request. Runs at plan time, *before* the
+    /// request is enqueued, which is what makes net-deferred commits
+    /// race-free: the deferral policy is fixed before any worker can
+    /// complete the request. The trace's timeline starts at the frame
+    /// decode behind a network tier (with the `net_read` span up to
+    /// submit), or at submit in-process.
+    fn share(
+        &self,
+        state: ResponseState,
+        kind: &'static str,
+        net: Option<&NetTraceCtx>,
+    ) -> Arc<ResponseState> {
+        if self.trace_sample == 0 && self.slow_threshold.is_none() {
+            return Arc::new(state);
         }
         let seq = self.trace_seq.fetch_add(1, Ordering::Relaxed);
         let sampled = self.trace_sample > 0 && seq.is_multiple_of(self.trace_sample);
         if !sampled && self.slow_threshold.is_none() {
-            return None;
+            return Arc::new(state);
         }
-        let (base, id, reactor) = match net {
-            Some(ctx) => (ctx.decoded_at, ctx.id, Some(ctx.reactor)),
-            None => (Instant::now(), seq, None),
+        let active = match net {
+            Some(ctx) => {
+                let mut active = ActiveTrace::new(ctx.decoded_at, ctx.id, kind, sampled);
+                active.set_reactor(ctx.reactor);
+                active.span_between(Stage::NetRead, ctx.decoded_at, state.submitted);
+                active
+            }
+            None => ActiveTrace::new(state.submitted, seq, kind, sampled),
         };
-        let mut active = ActiveTrace::new(base, id, kind, sampled);
-        if let Some(rix) = reactor {
-            active.set_reactor(rix);
-        }
-        if net.is_some() {
-            active.span_between(TraceStage::NetRead, base, Instant::now());
-        }
-        Some(Box::new(TraceState {
+        Arc::new(state.with_trace(Box::new(TraceState {
             active,
             recorder: Arc::clone(&self.recorder),
             slow_threshold: self.slow_threshold,
             deferred: net.is_some(),
             _commit_ticket: self.recorder.begin_commit(),
-        }))
+        })))
     }
 
     /// Submits a request, blocking only when a target shard queue is
@@ -603,11 +601,7 @@ impl ProbeService {
             parts[self.sharded.shard_of(op.key())].push((i as u32, *op));
         }
         let live = parts.iter().filter(|p| !p.is_empty()).count();
-        let state = ResponseState::new(kind, live).with_stages(&self.stages);
-        let state = Arc::new(match self.arm_trace(kind_name, net) {
-            Some(trace) => state.with_trace(trace),
-            None => state,
-        });
+        let state = self.share(ResponseState::new(kind, live), kind_name, net);
         let jobs = parts
             .into_iter()
             .enumerate()
@@ -643,16 +637,10 @@ impl ProbeService {
             RequestKind::RangeScan { .. } => "range_scan",
             RequestKind::Write { .. } => unreachable!("writes plan through plan_write"),
         };
-        let attach = |state: ResponseState| match self.arm_trace(kind_name, net) {
-            Some(trace) => state.with_trace(trace),
-            None => state,
-        };
         if let [key] = keys {
             // Fast path: a single-key request touches exactly one shard
             // — skip the per-shard partition scaffolding.
-            let state = Arc::new(attach(
-                ResponseState::new(kind, 1).with_stages(&self.stages),
-            ));
+            let state = self.share(ResponseState::new(kind, 1), kind_name, net);
             let job = Job::Probe {
                 entries: vec![(0, *key)],
                 reply: Arc::clone(&state),
@@ -665,9 +653,7 @@ impl ProbeService {
             parts[self.sharded.shard_of(*key)].push((row as u32, *key));
         }
         let live_parts = parts.iter().filter(|p| !p.is_empty()).count();
-        let state = Arc::new(attach(
-            ResponseState::new(kind, live_parts).with_stages(&self.stages),
-        ));
+        let state = self.share(ResponseState::new(kind, live_parts), kind_name, net);
         let jobs = parts
             .into_iter()
             .enumerate()
@@ -718,19 +704,15 @@ impl ProbeService {
             } else {
                 ResponseState::new(kind, parts)
             };
-            let state = state.with_stages(&self.stages);
-            match self.arm_trace(kind_name, net) {
-                Some(trace) => state.with_trace(trace),
-                None => state,
-            }
+            self.share(state, kind_name, net)
         };
         if lo > hi || limit == 0 {
             // Degenerate scans complete immediately: zero parts.
-            return Ok((Arc::new(state_for(0)), Vec::new()));
+            return Ok((state_for(0), Vec::new()));
         }
         let (first, last) = ordered.shard_span(lo, hi);
         let parts = last - first + 1;
-        let state = Arc::new(state_for(parts));
+        let state = state_for(parts);
         let jobs = (first..=last)
             .enumerate()
             .map(|(i, shard)| {
@@ -818,6 +800,7 @@ impl ProbeService {
         let _gate = self.gate()?;
         let (state, parts) = self.plan_scan(lo, hi, limit, desc, true, net.as_ref())?;
         self.try_push_parts(parts)?;
+        self.note_net_read(&state, net.as_ref());
         Ok(PendingStream { state })
     }
 
@@ -854,7 +837,19 @@ impl ProbeService {
         let _gate = self.gate()?;
         let (state, parts) = self.plan(&request, net.as_ref())?;
         self.try_push_parts(parts)?;
+        self.note_net_read(&state, net.as_ref());
         Ok(PendingResponse { state })
+    }
+
+    /// Records an accepted request's `net_read` stage — frame decoded →
+    /// submitted — when a network tier submitted it.
+    fn note_net_read(&self, state: &ResponseState, net: Option<&NetTraceCtx>) {
+        if let Some(ctx) = net {
+            self.stages.record(
+                Stage::NetRead,
+                state.submitted.saturating_duration_since(ctx.decoded_at),
+            );
+        }
     }
 
     /// Enqueues every `(shard, job)` part, blocking under backpressure.
@@ -1036,9 +1031,10 @@ impl ProbeService {
         self.snapshot_stats()
     }
 
-    /// The service's stage-timing seam, shared with whatever front-end
-    /// wants to record phases the service itself cannot see (the
-    /// `widx-net` server records [`reply-write`](widx_obs::Stage) here).
+    /// The histogram home of the front-end stages: the service records
+    /// `net_read` here when a network tier submits, and the `widx-net`
+    /// server records [`reply_write`](widx_obs::Stage::ReplyWrite) here
+    /// once a reply's bytes are flushed.
     #[must_use]
     pub fn stage_times(&self) -> Arc<StageTimes> {
         Arc::clone(&self.stages)
@@ -1049,6 +1045,7 @@ impl ProbeService {
     /// last live scrape.
     fn snapshot_stats(&self) -> ServiceStats {
         let mut latency = HistogramSnapshot::default();
+        let mut stages = self.stages.snapshot();
         let workers = self
             .cells
             .iter()
@@ -1056,13 +1053,14 @@ impl ProbeService {
             .map(|(shard, cell)| {
                 let snap = cell.snapshot();
                 latency.merge_from(&snap.latency);
+                stages.merge_from(&snap.stages);
                 WorkerStats::from_cell(shard, &snap)
             })
             .collect();
         ServiceStats {
             workers,
             latency: LatencySummary::from_histogram(&latency),
-            stages: StageStats::from_snapshot(&self.stages.snapshot()),
+            stages: StageStats::from_snapshot(&stages),
             net: crate::stats::NetStats::default(),
             trace: self.recorder.stats(),
             prof: self.prof_snapshot(),

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use widx_obs::{
     HistogramSnapshot, ProfSnapshot, PromText, RecorderStats, Stage, StageSnapshot,
-    WorkerCellSnapshot,
+    WorkerCellSnapshot, STAGES,
 };
 
 /// Counters one shard worker accumulates over its lifetime.
@@ -120,6 +120,9 @@ impl WorkerStats {
 pub struct LatencySummary {
     /// Completed requests measured.
     pub count: usize,
+    /// Sum of every measured latency in nanoseconds — exact, so stage
+    /// sums can be checked against the end-to-end sum.
+    pub sum_ns: u64,
     /// Mean latency in nanoseconds.
     pub mean_ns: f64,
     /// Median latency in nanoseconds.
@@ -152,9 +155,11 @@ impl LatencySummary {
             let idx = ((p * count as f64).ceil() as usize).clamp(1, count) - 1;
             samples[idx]
         };
+        let sum_ns = samples.iter().fold(0u64, |sum, s| sum.saturating_add(*s));
         LatencySummary {
             count,
-            mean_ns: samples.iter().map(|s| *s as f64).sum::<f64>() / count as f64,
+            sum_ns,
+            mean_ns: sum_ns as f64 / count as f64,
             p50_ns: rank(0.50),
             p95_ns: rank(0.95),
             p99_ns: rank(0.99),
@@ -165,12 +170,14 @@ impl LatencySummary {
     }
 
     /// Summarizes a live histogram snapshot. Percentiles are quantized to
-    /// the histogram's log2 bucket edges (clamped to the observed
-    /// min/max); count, mean, min, and max are exact.
+    /// the histogram's bucket edges (within 12.5% above the true value,
+    /// clamped to the observed min/max); count, sum, mean, min, and max
+    /// are exact.
     #[must_use]
     pub fn from_histogram(hist: &HistogramSnapshot) -> LatencySummary {
         LatencySummary {
             count: usize::try_from(hist.count()).unwrap_or(usize::MAX),
+            sum_ns: hist.sum_ns,
             mean_ns: hist.mean_ns(),
             p50_ns: hist.quantile(0.50),
             p95_ns: hist.quantile(0.95),
@@ -183,9 +190,11 @@ impl LatencySummary {
 
     fn to_json(self) -> String {
         format!(
-            "{{\"count\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {}, \"p95_ns\": {}, \
-             \"p99_ns\": {}, \"p999_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
+            "{{\"count\": {}, \"sum_ns\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {}, \
+             \"p95_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"min_ns\": {}, \
+             \"max_ns\": {}}}",
             self.count,
+            self.sum_ns,
             self.mean_ns,
             self.p50_ns,
             self.p95_ns,
@@ -197,27 +206,19 @@ impl LatencySummary {
     }
 }
 
-/// Per-stage latency summaries: where a request's life goes between
-/// `submit` and the reply bytes leaving the server.
+/// Per-stage latency summaries: where a request's life goes between the
+/// frame decode and the reply bytes leaving the server.
 ///
-/// Counts differ per stage by design: queue-wait counts shard-parts,
-/// batch-wait and walk count batches, gather counts completed requests,
-/// and reply-write counts reply frames (zero unless a `widx-net` server
-/// is attached).
+/// Every worker stage is recorded once per completed request, from the
+/// same instants as its end-to-end latency: the stages of the part that
+/// finished first (`queue_wait` then `batch_wait` and `walk`, or
+/// `write`), then `gather` up to the last part. Their sums therefore add
+/// up to the latency sum exactly. `net_read` and `reply_write` count
+/// requests a `widx-net` server submitted and answered (zero without
+/// one).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StageStats {
-    /// Submit to first worker admission, per request shard-part.
-    pub queue_wait: LatencySummary,
-    /// Batch open to flush decision, per batch.
-    pub batch_wait: LatencySummary,
-    /// Index-walking time, per batch.
-    pub walk: LatencySummary,
-    /// Write-application time at batch barriers, per write batch.
-    pub write: LatencySummary,
-    /// First shard-part done to last shard-part done, per request.
-    pub gather: LatencySummary,
-    /// Reply frame encoded to bytes flushed to the socket, per frame.
-    pub reply_write: LatencySummary,
+    per: [LatencySummary; STAGES],
 }
 
 impl StageStats {
@@ -225,26 +226,20 @@ impl StageStats {
     #[must_use]
     pub fn from_snapshot(snap: &StageSnapshot) -> StageStats {
         StageStats {
-            queue_wait: LatencySummary::from_histogram(snap.get(Stage::QueueWait)),
-            batch_wait: LatencySummary::from_histogram(snap.get(Stage::BatchWait)),
-            walk: LatencySummary::from_histogram(snap.get(Stage::Walk)),
-            write: LatencySummary::from_histogram(snap.get(Stage::Write)),
-            gather: LatencySummary::from_histogram(snap.get(Stage::Gather)),
-            reply_write: LatencySummary::from_histogram(snap.get(Stage::ReplyWrite)),
+            per: Stage::ALL.map(|stage| LatencySummary::from_histogram(snap.get(stage))),
         }
+    }
+
+    /// The summary for one stage.
+    #[must_use]
+    pub fn get(&self, stage: Stage) -> &LatencySummary {
+        &self.per[stage as usize]
     }
 
     /// `(name, summary)` pairs in pipeline order.
     #[must_use]
-    pub fn named(&self) -> [(&'static str, LatencySummary); 6] {
-        [
-            (Stage::QueueWait.name(), self.queue_wait),
-            (Stage::BatchWait.name(), self.batch_wait),
-            (Stage::Walk.name(), self.walk),
-            (Stage::Write.name(), self.write),
-            (Stage::Gather.name(), self.gather),
-            (Stage::ReplyWrite.name(), self.reply_write),
-        ]
+    pub fn named(&self) -> [(&'static str, LatencySummary); STAGES] {
+        Stage::ALL.map(|stage| (stage.name(), *self.get(stage)))
     }
 }
 
@@ -591,11 +586,7 @@ impl ServiceStats {
         ] {
             p.sample_u64("widx_request_latency_ns", &[("quantile", q)], v);
         }
-        p.sample(
-            "widx_request_latency_ns_sum",
-            &[],
-            self.latency.mean_ns * self.latency.count as f64,
-        );
+        p.sample_u64("widx_request_latency_ns_sum", &[], self.latency.sum_ns);
         p.sample_u64(
             "widx_request_latency_ns_count",
             &[],
@@ -607,11 +598,7 @@ impl ServiceStats {
             for (q, v) in [("0.5", summary.p50_ns), ("0.99", summary.p99_ns)] {
                 p.sample_u64("widx_stage_ns", &[("stage", name), ("quantile", q)], v);
             }
-            p.sample(
-                "widx_stage_ns_sum",
-                &[("stage", name)],
-                summary.mean_ns * summary.count as f64,
-            );
+            p.sample_u64("widx_stage_ns_sum", &[("stage", name)], summary.sum_ns);
             p.sample_u64(
                 "widx_stage_ns_count",
                 &[("stage", name)],
@@ -734,9 +721,9 @@ impl ServiceStats {
         p.finish()
     }
 
-    /// The `widx_prof_*` series: per-stage hardware counters, derived
-    /// memory-boundedness gauges (only when their denominators ticked —
-    /// the `soft` backend emits none), and the software walker
+    /// The `widx_prof_*` series: per-stage windows, hardware counters and
+    /// derived memory-boundedness gauges (only on a hardware backend, and
+    /// only for stages that recorded windows), and the software walker
     /// cross-check.
     fn render_prof_prometheus(&self, p: &mut PromText, prof: &ProfSnapshot) {
         use widx_obs::ProfStageSnapshot;
@@ -753,32 +740,43 @@ impl ServiceStats {
         )
         .type_("widx_prof_hw", "gauge")
         .sample_u64("widx_prof_hw", &[], u64::from(prof.hw));
-        for (name, help) in [
+        type Counter = fn(&ProfStageSnapshot) -> u64;
+        let counters: [(&str, &str, Counter); 5] = [
+            (
+                "widx_prof_windows_total",
+                "Counter windows recorded per stage.",
+                |s| s.windows,
+            ),
             (
                 "widx_prof_cycles_total",
                 "Core cycles attributed per stage.",
+                |s| s.cycles,
             ),
             (
                 "widx_prof_instructions_total",
                 "Instructions retired per stage.",
+                |s| s.instructions,
             ),
-            ("widx_prof_llc_misses_total", "LLC misses per stage."),
-            ("widx_prof_dtlb_misses_total", "dTLB misses per stage."),
+            ("widx_prof_llc_misses_total", "LLC misses per stage.", |s| {
+                s.llc_misses
+            }),
             (
-                "widx_prof_windows_total",
-                "Counter windows recorded per stage.",
+                "widx_prof_dtlb_misses_total",
+                "dTLB misses per stage.",
+                |s| s.dtlb_misses,
             ),
-        ] {
+        ];
+        // Without hardware counters only the windows were measured.
+        let measured = if prof.hw {
+            &counters[..]
+        } else {
+            &counters[..1]
+        };
+        for (name, help, get) in measured {
             p.help(name, help).type_(name, "counter");
-        }
-        for stage in Stage::ALL {
-            let s = prof.get(stage);
-            let labels = [("stage", stage.name())];
-            p.sample_u64("widx_prof_cycles_total", &labels, s.cycles);
-            p.sample_u64("widx_prof_instructions_total", &labels, s.instructions);
-            p.sample_u64("widx_prof_llc_misses_total", &labels, s.llc_misses);
-            p.sample_u64("widx_prof_dtlb_misses_total", &labels, s.dtlb_misses);
-            p.sample_u64("widx_prof_windows_total", &labels, s.windows);
+            for stage in prof.measured_stages() {
+                p.sample_u64(name, &[("stage", stage.name())], get(prof.get(stage)));
+            }
         }
         type Derived = fn(&ProfStageSnapshot) -> Option<f64>;
         let derived: [(&str, &str, Derived); 4] = [
@@ -804,11 +802,11 @@ impl ServiceStats {
             ),
         ];
         for (name, help, get) in derived {
-            if Stage::ALL.into_iter().all(|s| get(prof.get(s)).is_none()) {
+            if !prof.hw || prof.measured_stages().all(|s| get(prof.get(s)).is_none()) {
                 continue;
             }
             p.help(name, help).type_(name, "gauge");
-            for stage in Stage::ALL {
+            for stage in prof.measured_stages() {
                 if let Some(v) = get(prof.get(stage)) {
                     p.sample(name, &[("stage", stage.name())], v);
                 }
@@ -1022,8 +1020,7 @@ mod tests {
             workers: 2,
             ..ProfSnapshot::default()
         };
-        // Index 2 is `Stage::Walk` in `Stage::ALL` order.
-        prof.stages[2] = widx_obs::ProfStageSnapshot {
+        prof.stages[Stage::Walk as usize] = widx_obs::ProfStageSnapshot {
             windows: 4,
             cycles: 10_000,
             instructions: 5_000,
@@ -1066,26 +1063,42 @@ mod tests {
             "prof series must pass the Prometheus lint"
         );
 
-        // A soft-backend profile emits the counter series (all zero)
-        // but none of the derived gauges — their denominators never
-        // ticked — and still lints clean.
+        // Stages without windows emit nothing.
+        assert!(!prom.contains("widx_prof_windows_total{stage=\"queue_wait\"}"));
+
+        // A soft-backend profile emits only what it measured: windows of
+        // the stages that recorded any, no hardware counters and no
+        // derived gauges — and still lints clean.
+        let mut soft = ProfSnapshot {
+            backend: "soft",
+            workers: 1,
+            ..ProfSnapshot::default()
+        };
+        soft.stages[Stage::Walk as usize] = widx_obs::ProfStageSnapshot {
+            windows: 3,
+            time_ns: 9_000,
+            ..widx_obs::ProfStageSnapshot::default()
+        };
         let soft = ServiceStats {
-            prof: Some(ProfSnapshot {
-                backend: "soft",
-                workers: 1,
-                ..ProfSnapshot::default()
-            }),
+            prof: Some(soft),
             ..stats
         };
         let prom = soft.render_prometheus();
         assert!(prom.contains("widx_prof_hw 0"));
-        assert!(prom.contains("widx_prof_cycles_total{stage=\"walk\"} 0"));
+        assert!(prom.contains("widx_prof_windows_total{stage=\"walk\"} 3"));
+        assert!(
+            !prom.contains("widx_prof_windows_total{stage=\"gather\"}"),
+            "unmeasured stage"
+        );
+        assert!(!prom.contains("widx_prof_cycles_total"), "no hw counters");
         assert!(!prom.contains("widx_prof_ipc"), "no IPC without cycles");
         assert!(
             !prom.contains("widx_prof_soft_mlp"),
             "no MLP without rounds"
         );
         assert!(widx_obs::lint_exposition(&prom).is_empty());
+        let json = soft.to_json();
+        assert!(json.contains("\"stages\":{\"walk\":{\"windows\":3,\"time_ns\":9000}}"));
     }
 
     #[test]

@@ -10,9 +10,17 @@
 //! feeds probes and scans to their walkers side by side.
 //!
 //! Workers own no private counters: everything is published straight
-//! into the worker's lock-free [`WorkerCell`] (plus the shared
-//! [`StageTimes`] seam) as batches complete, so a live scrape sees the
-//! same numbers a shutdown join would.
+//! into the worker's lock-free [`WorkerCell`] as batches complete, so a
+//! live scrape sees the same numbers a shutdown join would.
+//!
+//! # One clock
+//!
+//! Every stage boundary reads the worker's [`StageClock`] once. That one
+//! reading stamps the parts crossing the boundary (admitted, batch
+//! closed, done), closes the profiler window (batch window → batch-wait,
+//! drain → walk, completion loop → gather, barrier → write; blocked time
+//! in `pop()` closes into no stage and counts only as idle), and is the
+//! instant the request's trace spans use.
 //!
 //! # Writes
 //!
@@ -32,13 +40,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use widx_db::index::{BTreeIndex, HashIndex};
-use widx_obs::{FlushKind, ProfCell, Stage, StageTimes, ThreadProfiler, TraceStage, WorkerCell};
+use widx_obs::{FlushKind, ProfCell, Stage, StageClock, WalkCounters, WorkerCell};
 use widx_soft::{AmacWalker, BTreeRangeWalker};
 
 use crate::batch::{BatchPolicy, FlushReason};
 use crate::ordered::OrderedShardedIndex;
 use crate::queue::{Job, ShardQueue};
-use crate::request::{ResponseState, RoutedMatch, WriteOp};
+use crate::request::{PartDone, PartStamps, ResponseState, RoutedMatch, WriteOp};
 use crate::shard::ShardedIndex;
 
 /// Everything a shard worker thread needs.
@@ -53,14 +61,37 @@ pub(crate) struct WorkerContext {
     pub(crate) inflight: usize,
     /// Entries per chunk pushed to the seam on streaming scans.
     pub(crate) stream_chunk: usize,
-    /// This worker's registry cell — the single home of its counters.
+    /// This worker's registry cell — the single home of its counters
+    /// and of the histograms of every request it completes.
     pub(crate) cell: Arc<WorkerCell>,
-    /// The service-wide stage-timing seam.
-    pub(crate) stages: Arc<StageTimes>,
     /// Hardware-profiling cell, when the service enabled profiling: the
-    /// worker opens a per-thread counter group and publishes stage
-    /// windows here.
+    /// worker's stage clock opens a per-thread counter group and
+    /// publishes stage windows here.
     pub(crate) prof: Option<Arc<ProfCell>>,
+}
+
+impl WorkerContext {
+    /// A part of this worker's finishing at `done`, admitted at `admitted`
+    /// (and, for a read part, its batch closed at `closed`).
+    fn part(
+        &self,
+        admitted: Instant,
+        closed: Option<Instant>,
+        done: Instant,
+        walk: WalkCounters,
+    ) -> PartDone<'_> {
+        let stamps = PartStamps {
+            admitted,
+            closed,
+            done,
+        };
+        PartDone {
+            stamps,
+            shard: self.shard as u32,
+            cell: &self.cell,
+            walk,
+        }
+    }
 }
 
 /// A write part stashed mid-batch, applied at the next batch barrier.
@@ -102,22 +133,25 @@ impl WriteTarget for BTreeIndex {
 }
 
 /// Applies stashed write parts to both of the worker's indexes under
-/// their write guards — the batch barrier. Per part: apply every op to
-/// each tier, publish the write counters *before* completing the part
-/// (a caller whose `wait()` returned must find the write counted by a
+/// their write guards — the batch barrier, which starts at the worker's
+/// last clock reading `start`. Per part: apply every op to each tier,
+/// publish the write counters *before* completing the part (a caller
+/// whose `wait()` returned must find the write counted by a
 /// `live_stats()` scrape), and ack `(op, key, applied)` rows. The hash
 /// tier's result is the ack; both tiers hold the same entries, so the
-/// B+-tree agrees.
-fn apply_writes(ctx: &WorkerContext, jobs: Vec<WriteJob>, prof: &mut ThreadProfiler) {
-    let mark = prof.mark();
-    let barrier_from = Instant::now();
+/// B+-tree agrees. Each part's application starts where the previous
+/// one's ended. Returns the barrier's last reading.
+fn apply_writes(
+    ctx: &WorkerContext,
+    jobs: Vec<WriteJob>,
+    start: Instant,
+    clock: &mut StageClock,
+) -> Instant {
     let mut hash = ctx.sharded.write(ctx.shard);
     let mut tree = ctx.ordered.as_ref().map(|o| o.write(ctx.shard));
+    let mut now = start;
     for job in jobs {
         ctx.cell.add_jobs(1);
-        ctx.stages
-            .record(Stage::QueueWait, job.reply.since_submit());
-        let opened = Instant::now();
         let total = job.ops.len() as u64;
         let mut acks: Vec<RoutedMatch> = Vec::with_capacity(job.ops.len());
         for (op_idx, op) in job.ops {
@@ -128,31 +162,16 @@ fn apply_writes(ctx: &WorkerContext, jobs: Vec<WriteJob>, prof: &mut ThreadProfi
             acks.push((op_idx, op.key(), u64::from(applied)));
         }
         let applied: u64 = acks.iter().map(|(_, _, applied)| applied).sum();
-        let took = opened.elapsed();
-        ctx.stages.record(Stage::Write, took);
         ctx.cell.add_write_batch(total, applied);
         ctx.cell.add_matches(applied);
-        if job.reply.is_traced() {
-            job.reply.trace_annotate(|trace, submitted| {
-                trace.add_shard(ctx.shard as u32);
-                trace.span_between(TraceStage::QueueWait, submitted, opened);
-                trace.span_for(TraceStage::Write, opened, took);
-            });
-        }
-        job.reply.complete_part(&acks, Some(&ctx.cell));
+        let admitted = now;
+        now = clock.read();
+        let part = ctx.part(admitted, None, now, WalkCounters::default());
+        job.reply.complete_part(&acks, &part);
     }
-    ctx.cell.add_busy(barrier_from.elapsed());
-    prof.record(Stage::Write, mark);
-}
-
-/// Opens the worker's per-thread counter group when profiling is on.
-/// Must run on the worker thread itself — the group binds to the
-/// calling thread.
-fn attach_profiler(prof: &Option<Arc<ProfCell>>) -> ThreadProfiler {
-    match prof {
-        Some(cell) => ThreadProfiler::attach(Arc::clone(cell)),
-        None => ThreadProfiler::disabled(),
-    }
+    ctx.cell.add_busy(now - start);
+    clock.close(Some(Stage::Write));
+    now
 }
 
 fn flush_kind(reason: FlushReason) -> FlushKind {
@@ -171,7 +190,7 @@ struct OpenPart {
     scan: bool,
     streaming: bool,
     items: Vec<RoutedMatch>,
-    /// When this part was admitted into the batch (trace span seam).
+    /// The clock reading that admitted this part into the batch.
     admitted: Instant,
     /// Scatter ranks of a scan part's cursors (a streaming part
     /// completes per rank).
@@ -239,38 +258,29 @@ struct Batch<'g> {
 }
 
 impl<'g> Batch<'g> {
-    /// Admits one probe or scan part: feeds its keys or ranges to the
-    /// matching walker.
-    fn admit(
-        &mut self,
-        job: Job,
-        cell: &WorkerCell,
-        stages: &StageTimes,
-        prof: &mut ThreadProfiler,
-    ) {
+    /// Admits one probe or scan part at the clock reading `at`: feeds its
+    /// keys or ranges to the matching walker.
+    fn admit(&mut self, ctx: &WorkerContext, job: Job, at: Instant) {
         let (reply, keys, ranges) = match job {
             Job::Probe { entries, reply } => (reply, entries, Vec::new()),
             Job::Scan { scans, reply } => (reply, Vec::new(), scans),
             Job::Write { .. } | Job::Poison { .. } => unreachable!("only reads join a batch"),
         };
-        cell.add_jobs(1);
-        stages.record(Stage::QueueWait, reply.since_submit());
+        ctx.cell.add_jobs(1);
         if keys.is_empty() && ranges.is_empty() {
             // Defensive: never strand an empty part. (The planner never
             // scatters an empty streaming part.)
             debug_assert!(!reply.is_streaming(), "empty streaming shard-part");
-            reply.complete_part(&[], Some(cell));
+            reply.complete_part(&[], &ctx.part(at, Some(at), at, WalkCounters::default()));
             return;
         }
-        let busy_from = Instant::now();
-        let mark = prof.mark();
         let part = self.sink.open.len() as u32;
         self.sink.open.push(OpenPart {
             scan: !ranges.is_empty(),
             streaming: reply.is_streaming(),
             reply,
             items: Vec::new(),
-            admitted: Instant::now(),
+            admitted: at,
             ranks: Vec::new(),
             emitted: 0,
         });
@@ -291,8 +301,6 @@ impl<'g> Batch<'g> {
                 .expect("scan routed to a worker without an ordered shard");
             walker.feed(tag, range, &mut |t, k, p| self.sink.emit(t, k, p));
         }
-        prof.record(Stage::Walk, mark);
-        self.busy += busy_from.elapsed();
     }
 }
 
@@ -301,18 +309,18 @@ impl<'g> Batch<'g> {
 /// — shutdown needs no hand-back, a final registry snapshot sees
 /// everything.
 pub(crate) fn run_worker(ctx: &WorkerContext) {
-    let mut prof = attach_profiler(&ctx.prof);
+    let mut clock = StageClock::new(ctx.prof.clone());
+    let mut now = clock.read();
+    clock.close(None);
 
     loop {
-        // Wait (idle) for the batch-opening job. The profiling window
-        // lands in queue-wait: a blocked thread accrues almost no
-        // cycles, so this column stays near zero unless the worker is
-        // spinning.
-        let idle_from = Instant::now();
-        let mark = prof.mark();
+        // Wait (idle) for the batch-opening job. Blocked time belongs to
+        // no stage: it counts only as the worker's idle time.
         let first = ctx.queue.pop();
-        prof.record(Stage::QueueWait, mark);
-        ctx.cell.add_idle(idle_from.elapsed());
+        let popped = clock.read();
+        clock.close(None);
+        ctx.cell.add_idle(popped - now);
+        now = popped;
 
         let mut writes: Vec<WriteJob> = Vec::new();
         let shutdown = match first {
@@ -349,14 +357,17 @@ pub(crate) fn run_worker(ctx: &WorkerContext) {
                     cursors: 0,
                     busy: Duration::ZERO,
                 };
-                run_batch(ctx, &mut batch, read, &mut writes, &mut prof)
+                let (shutdown, end) =
+                    run_batch(ctx, &mut batch, read, popped, &mut writes, &mut clock);
+                now = end;
+                shutdown
             }
         };
         // Batch barrier: the read guards are gone; apply every write the
         // batch loop stashed (shutdown included — queued writes always
         // land before the final snapshot).
         if !writes.is_empty() {
-            apply_writes(ctx, writes, &mut prof);
+            now = apply_writes(ctx, writes, now, &mut clock);
         }
         if shutdown {
             break;
@@ -364,34 +375,36 @@ pub(crate) fn run_worker(ctx: &WorkerContext) {
     }
 }
 
-/// Assembles and drains one batch starting from `first`. Emissions are
-/// attributed to their request *as they happen*, so streaming parts can
-/// flush chunks to the gather seam while other cursors in the ring are
-/// still descending. Returns true when the poison pill arrived and the
-/// worker must halt after this batch.
+/// Assembles and drains one batch starting from `first`, admitted at the
+/// clock reading `opened`. Emissions are attributed to their request *as
+/// they happen*, so streaming parts can flush chunks to the gather seam
+/// while other cursors in the ring are still descending. Returns whether
+/// the poison pill arrived (the worker must halt after this batch) and
+/// the batch's last clock reading.
 fn run_batch(
     ctx: &WorkerContext,
     batch: &mut Batch<'_>,
     first: Job,
+    opened: Instant,
     writes: &mut Vec<WriteJob>,
-    prof: &mut ThreadProfiler,
-) -> bool {
-    let (cell, stages) = (&*ctx.cell, &*ctx.stages);
-    let opened = Instant::now();
+    clock: &mut StageClock,
+) -> (bool, Instant) {
+    let cell = &*ctx.cell;
     let mut shutdown = false;
-    batch.admit(first, cell, stages, prof);
+    batch.admit(ctx, first, opened);
+    let mut now = clock.read();
+    batch.busy += now - opened;
 
     // Keep admitting until the policy closes the batch. Probe keys and
     // scan cursors both count toward the size flush.
     let reason = loop {
-        if let Some(reason) = ctx.policy.flush_due(batch.sink.meta.len(), opened) {
+        if let Some(reason) = ctx.policy.flush_due(batch.sink.meta.len(), opened, now) {
             break reason;
         }
-        let idle_from = Instant::now();
-        let mark = prof.mark();
         let next = ctx.queue.pop_until(ctx.policy.flush_deadline(opened));
-        prof.record(Stage::BatchWait, mark);
-        cell.add_idle(idle_from.elapsed());
+        let at = clock.read();
+        cell.add_idle(at - now);
+        now = at;
         match next {
             Some(Job::Write { ops, reply }) => {
                 // Writes never interleave into an open walker batch:
@@ -402,24 +415,28 @@ fn run_batch(
                 shutdown = true;
                 break FlushReason::Shutdown;
             }
-            Some(read) => batch.admit(read, cell, stages, prof),
+            Some(read) => {
+                batch.admit(ctx, read, at);
+                now = clock.read();
+                batch.busy += now - at;
+            }
             None => break FlushReason::Deadline,
         }
     };
-    stages.record(Stage::BatchWait, opened.elapsed());
+    let closed = now;
+    clock.close(Some(Stage::BatchWait));
 
     // Drain both rings: emissions attribute inline, in emit order, so
     // each scan tag's slice (and chunk sequence) stays key-ordered —
     // the invariant the gather side's rank-ordered release relies on.
-    let busy_from = Instant::now();
-    let mark = prof.mark();
     let sink = &mut batch.sink;
     batch.probes.drain(&mut |t, k, p| sink.emit(t, k, p));
     if let Some(scans) = &mut batch.scans {
         scans.drain(&mut |t, k, p| sink.emit(t, k, p));
     }
-    prof.record(Stage::Walk, mark);
-    batch.busy += busy_from.elapsed();
+    let drained = clock.read();
+    clock.close(Some(Stage::Walk));
+    batch.busy += drained - closed;
 
     // Flush every streaming tag's tail chunk.
     for (tag, buf) in sink.chunks.iter_mut().enumerate() {
@@ -443,32 +460,22 @@ fn run_batch(
     cell.add_matches(matches);
     cell.add_scans(batch.cursors, entries);
     cell.add_busy(batch.busy);
-    stages.record(Stage::Walk, batch.busy);
-    let batch_done = Instant::now();
-    let mut walk_counters = batch.probes.take_counters();
+    let mut walk = batch.probes.take_counters();
     if let Some(scans) = &mut batch.scans {
-        walk_counters.merge(&scans.take_counters());
+        walk.merge(&scans.take_counters());
     }
-    prof.add_walk(&walk_counters);
-    let gather_mark = prof.mark();
+    clock.add_walk(&walk);
     for part in &sink.open {
-        if part.reply.is_traced() {
-            part.reply.trace_annotate(|trace, submitted| {
-                trace.add_shard(ctx.shard as u32);
-                trace.span_between(TraceStage::QueueWait, submitted, part.admitted);
-                trace.span_between(TraceStage::BatchWait, part.admitted, batch_done);
-                trace.span_for(TraceStage::Walk, opened, batch.busy);
-                trace.add_walk(&walk_counters);
-            });
-        }
+        let done = ctx.part(part.admitted, Some(closed), drained, walk);
         if part.streaming {
             for rank in &part.ranks {
-                part.reply.complete_stream_part(*rank, Some(cell));
+                part.reply.complete_stream_part(*rank, &done);
             }
         } else {
-            part.reply.complete_part(&part.items, Some(cell));
+            part.reply.complete_part(&part.items, &done);
         }
     }
-    prof.record(Stage::Gather, gather_mark);
-    shutdown
+    let end = clock.read();
+    clock.close(Some(Stage::Gather));
+    (shutdown, end)
 }

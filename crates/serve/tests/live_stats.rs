@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use widx_db::hash::HashRecipe;
-use widx_serve::{ProbeService, ServeConfig, ServiceStats};
+use widx_serve::{ProbeService, ServeConfig, ServiceStats, Stage};
 
 const ENTRIES: u64 = 8192;
 
@@ -70,17 +70,16 @@ fn live_stats_are_nonzero_under_load() {
         let live = service.live_stats();
         assert!(live.workers.iter().any(|w| w.keys > 0));
         assert!(live.workers.iter().any(|w| w.batches > 0));
-        let stages = live.stages.named();
-        for (name, summary) in stages {
-            match name {
-                "queue_wait" | "walk" | "gather" => {
-                    assert!(summary.count > 0, "stage {name} recorded nothing");
-                }
-                // batch_wait records once per batch; reply_write only at
-                // the net tier — presence, not magnitude, is asserted
-                // elsewhere.
-                _ => {}
-            }
+        // Every read records its worker stages; `write` needs writes and
+        // the network stages a `widx-net` server.
+        for stage in [
+            Stage::QueueWait,
+            Stage::BatchWait,
+            Stage::Walk,
+            Stage::Gather,
+        ] {
+            let count = live.stages.get(stage).count;
+            assert!(count > 0, "stage {} recorded nothing", stage.name());
         }
 
         stop.store(true, Ordering::Relaxed);
