@@ -177,14 +177,15 @@ fn render_json(args: &Args, runs: &[Run]) -> String {
             let _ = write!(
                 out,
                 "{{\"shard\": {}, \"scan_cursors\": {}, \"scan_entries\": {}, \"batches\": {}, \
-                 \"mean_batch\": {:.2}, \"size_flushes\": {}, \"deadline_flushes\": {}, \
-                 \"occupancy\": {:.4}, \"busy_cursors_per_sec\": {:.0}}}",
+                 \"mean_batch\": {:.2}, \"size_flushes\": {}, \"drained_flushes\": {}, \
+                 \"deadline_flushes\": {}, \"occupancy\": {:.4}, \"busy_cursors_per_sec\": {:.0}}}",
                 w.shard,
                 w.scan_cursors,
                 w.scan_entries,
                 w.batches,
                 w.mean_batch(),
                 w.size_flushes,
+                w.drained_flushes,
                 w.deadline_flushes,
                 w.occupancy(),
                 w.busy_throughput(),

@@ -282,14 +282,15 @@ fn render_json(args: &Args, runs: &[Run], engines: &[widx_bench::prof::EnginePro
             let _ = write!(
                 out,
                 "{{\"shard\": {}, \"keys\": {}, \"matches\": {}, \"batches\": {}, \
-                 \"mean_batch\": {:.2}, \"size_flushes\": {}, \"deadline_flushes\": {}, \
-                 \"occupancy\": {:.4}, \"busy_keys_per_sec\": {:.0}}}",
+                 \"mean_batch\": {:.2}, \"size_flushes\": {}, \"drained_flushes\": {}, \
+                 \"deadline_flushes\": {}, \"occupancy\": {:.4}, \"busy_keys_per_sec\": {:.0}}}",
                 w.shard,
                 w.keys,
                 w.matches,
                 w.batches,
                 w.mean_batch(),
                 w.size_flushes,
+                w.drained_flushes,
                 w.deadline_flushes,
                 w.occupancy(),
                 w.busy_throughput(),

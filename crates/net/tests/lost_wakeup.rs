@@ -15,22 +15,35 @@ use std::time::{Duration, Instant};
 
 use widx_db::hash::HashRecipe;
 use widx_net::{NetConfig, WidxClient, WidxServer};
-use widx_serve::{ProbeService, ServeConfig};
+use widx_serve::{PendingResponse, ProbeService, Request, ServeConfig};
 
-/// A service whose completions are gated on the batch deadline: with a
-/// size target no single request can reach, the shard worker flushes
-/// the batch (and fires the completion waker) `deadline` after the
-/// submit — a completion that lands squarely inside the server's idle
-/// wait.
-fn deadline_gated_service(deadline: Duration) -> Arc<ProbeService> {
+/// Probes in one gate job: enough walking to keep a shard worker busy
+/// for milliseconds.
+const GATE_KEYS: usize = 1 << 18;
+
+/// A two-shard service whose queues admit a whole gate job.
+fn service() -> Arc<ProbeService> {
     Arc::new(ProbeService::build_with_range(
         HashRecipe::robust64(),
         (0..1000u64).map(|k| (k, k + 1)),
         &ServeConfig::default()
             .with_shards(2)
-            .with_batch_size(1 << 20)
-            .with_batch_deadline(deadline),
+            .with_queue_capacity(2 * GATE_KEYS),
     ))
+}
+
+/// Gates the shard worker that owns `key` with one large in-process
+/// multi-lookup. Batching is work-conserving, so the gate job closes
+/// its batch at once and the worker walks it; a wire request for `key`
+/// arriving meanwhile queues behind it and completes — firing the
+/// completion waker — only after the whole walk, a completion that
+/// lands squarely inside the server's idle wait.
+fn gate(service: &ProbeService, key: u64) -> PendingResponse {
+    service
+        .submit(Request::MultiLookup {
+            keys: vec![key; GATE_KEYS],
+        })
+        .expect("gate")
 }
 
 /// The real-readiness backends available on this platform. The
@@ -49,10 +62,9 @@ fn readiness_backends() -> Vec<&'static str> {
 
 #[test]
 fn completion_landing_mid_wait_is_flushed_at_completion_speed() {
-    let deadline = Duration::from_millis(100);
     let idle_backoff = Duration::from_millis(1500);
     for backend in readiness_backends() {
-        let service = deadline_gated_service(deadline);
+        let service = service();
         let server = WidxServer::bind(
             "127.0.0.1:0",
             Arc::clone(&service),
@@ -64,14 +76,26 @@ fn completion_landing_mid_wait_is_flushed_at_completion_speed() {
         let mut client = WidxClient::connect(server.local_addr()).expect("connect");
 
         let started = Instant::now();
-        assert_eq!(client.lookup(41).expect("lookup"), vec![42], "{backend}");
+        let gate = gate(&service, 41);
+        let id = client.send(&Request::Lookup { key: 41 }).expect("send");
+        let sent_while_gated = !gate.is_ready();
+        let reply = client.recv(id).expect("recv");
         let elapsed = started.elapsed();
+        assert_eq!(
+            reply,
+            widx_net::Response::Lookup {
+                key: 41,
+                payloads: vec![42]
+            },
+            "{backend}"
+        );
 
-        // The reply really was gated on the deadline flush (the race
-        // window this test aims at)...
+        // The reply really was gated on the gate job (the race window
+        // this test aims at): the lookup reached the server while its
+        // worker was still walking the gate, and came back after it...
         assert!(
-            elapsed >= deadline / 2,
-            "{backend}: reply at {elapsed:?} beat the batch deadline — \
+            sent_while_gated && gate.is_ready(),
+            "{backend}: reply at {elapsed:?} was not gated — \
              the completion did not land inside the idle wait"
         );
         // ...and the wake handle cut the wait short: well under the
@@ -81,6 +105,7 @@ fn completion_landing_mid_wait_is_flushed_at_completion_speed() {
             "{backend}: reply took {elapsed:?} with idle_backoff {idle_backoff:?} — \
              the completion wake was lost"
         );
+        drop(gate.wait());
 
         let _ = server.shutdown();
         drop(
@@ -94,12 +119,11 @@ fn completion_landing_mid_wait_is_flushed_at_completion_speed() {
 
 #[test]
 fn pipelined_completions_mid_wait_all_flush_at_completion_speed() {
-    // Same race, wider window: several requests in flight, each
-    // completing on a worker thread while the loop blocks.
-    let deadline = Duration::from_millis(60);
+    // Same race, wider window: several requests in flight behind one
+    // gate, each completing on a worker thread while the loop blocks.
     let idle_backoff = Duration::from_millis(1500);
     for backend in readiness_backends() {
-        let service = deadline_gated_service(deadline);
+        let service = service();
         let server = WidxServer::bind(
             "127.0.0.1:0",
             Arc::clone(&service),
@@ -111,12 +135,9 @@ fn pipelined_completions_mid_wait_all_flush_at_completion_speed() {
         let mut client = WidxClient::connect(server.local_addr()).expect("connect");
 
         let started = Instant::now();
+        let gate = gate(&service, 0);
         let ids: Vec<u64> = (0..8)
-            .map(|k| {
-                client
-                    .send(&widx_net::Request::Lookup { key: k })
-                    .expect("send")
-            })
+            .map(|k| client.send(&Request::Lookup { key: k }).expect("send"))
             .collect();
         for (k, id) in ids.into_iter().enumerate() {
             match client.recv(id).expect("recv") {
@@ -131,6 +152,7 @@ fn pipelined_completions_mid_wait_all_flush_at_completion_speed() {
             elapsed < idle_backoff / 2,
             "{backend}: pipelined replies took {elapsed:?} — a wake was lost"
         );
+        drop(gate.wait());
 
         let _ = server.shutdown();
         drop(
@@ -149,7 +171,7 @@ fn shutdown_interrupts_a_blocked_idle_wait() {
     // return long before that — the old loop's flag check also only
     // happened once per sleep, which this inherits a guarantee against.
     for backend in readiness_backends() {
-        let service = deadline_gated_service(Duration::from_millis(10));
+        let service = service();
         let server = WidxServer::bind(
             "127.0.0.1:0",
             Arc::clone(&service),
@@ -176,7 +198,7 @@ fn shutdown_interrupts_a_blocked_idle_wait() {
 
 #[test]
 fn bind_rejects_an_unknown_poller_backend() {
-    let service = deadline_gated_service(Duration::from_millis(10));
+    let service = service();
     match WidxServer::bind(
         "127.0.0.1:0",
         Arc::clone(&service),

@@ -18,7 +18,9 @@ use crate::stage::{Stage, StageSnapshot, StageTimes};
 pub enum FlushKind {
     /// The batch reached its size target.
     Size,
-    /// The batch deadline expired.
+    /// The queue ran dry: nothing more was waiting to join the batch.
+    Drained,
+    /// The batch deadline capped an admission that kept finding work.
     Deadline,
     /// The worker was told to shut down mid-batch.
     Shutdown,
@@ -36,6 +38,7 @@ pub struct WorkerCell {
     scan_cursors: AtomicU64,
     scan_entries: AtomicU64,
     size_flushes: AtomicU64,
+    drained_flushes: AtomicU64,
     deadline_flushes: AtomicU64,
     shutdown_flushes: AtomicU64,
     busy_ns: AtomicU64,
@@ -66,6 +69,7 @@ impl WorkerCell {
         self.keys.fetch_add(keys, Ordering::Relaxed);
         let counter = match kind {
             FlushKind::Size => &self.size_flushes,
+            FlushKind::Drained => &self.drained_flushes,
             FlushKind::Deadline => &self.deadline_flushes,
             FlushKind::Shutdown => &self.shutdown_flushes,
         };
@@ -130,6 +134,7 @@ impl WorkerCell {
             scan_cursors: self.scan_cursors.load(Ordering::Relaxed),
             scan_entries: self.scan_entries.load(Ordering::Relaxed),
             size_flushes: self.size_flushes.load(Ordering::Relaxed),
+            drained_flushes: self.drained_flushes.load(Ordering::Relaxed),
             deadline_flushes: self.deadline_flushes.load(Ordering::Relaxed),
             shutdown_flushes: self.shutdown_flushes.load(Ordering::Relaxed),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
@@ -160,7 +165,9 @@ pub struct WorkerCellSnapshot {
     pub scan_entries: u64,
     /// Batches flushed because they reached the size target.
     pub size_flushes: u64,
-    /// Batches flushed because the deadline expired.
+    /// Batches flushed because the queue ran dry.
+    pub drained_flushes: u64,
+    /// Batches flushed because the deadline capped their admission.
     pub deadline_flushes: u64,
     /// Batches flushed by shutdown.
     pub shutdown_flushes: u64,
@@ -191,6 +198,7 @@ mod tests {
         let cell = WorkerCell::new();
         cell.add_jobs(3);
         cell.add_batch(64, FlushKind::Size);
+        cell.add_batch(2, FlushKind::Drained);
         cell.add_batch(5, FlushKind::Deadline);
         cell.add_batch(1, FlushKind::Shutdown);
         cell.add_matches(17);
@@ -203,11 +211,12 @@ mod tests {
         cell.record_stage(Stage::Walk, Duration::from_nanos(600));
         let s = cell.snapshot();
         assert_eq!(s.jobs, 3);
-        assert_eq!(s.batches, 3);
-        assert_eq!(s.keys, 70);
+        assert_eq!(s.batches, 4);
+        assert_eq!(s.keys, 72);
         assert_eq!(s.matches, 17);
         assert_eq!((s.scan_cursors, s.scan_entries), (2, 40));
         assert_eq!(s.size_flushes, 1);
+        assert_eq!(s.drained_flushes, 1);
         assert_eq!(s.deadline_flushes, 1);
         assert_eq!(s.shutdown_flushes, 1);
         assert_eq!(s.busy_ns, 10_000);

@@ -1,12 +1,15 @@
-//! Batch-closure policy: a worker flushes its open batch when enough
-//! keys have accumulated (*size flush*) or when the oldest queued
-//! request has waited long enough (*deadline flush*).
+//! Batch-closure policy: a worker admits queued work into its open batch
+//! until the batch reaches its size target (*size flush*) or the queue
+//! runs dry (*drained flush*), whichever comes first.
 //!
-//! This is the classic throughput/latency dial of batched serving
-//! systems: larger batches keep more independent probes in flight per
-//! walker pass (more memory-level parallelism, the paper's whole
-//! thesis), while the deadline bounds how long a lone request can be
-//! held hostage waiting for company.
+//! Batching is work-conserving, like the paper's dispatcher, which hands
+//! a key to a walker the moment one is free: a worker never holds a
+//! batch open waiting for company. Larger batches still form on their
+//! own under load — a backlog keeps admission finding work, so more
+//! independent probes share one walker pass (more memory-level
+//! parallelism, the paper's whole thesis). The deadline is only a cap
+//! under load: it closes a batch whose admission keeps finding work but
+//! never reaches the size target.
 
 use std::time::{Duration, Instant};
 
@@ -15,7 +18,9 @@ use std::time::{Duration, Instant};
 pub enum FlushReason {
     /// The batch reached its size target.
     Size,
-    /// The deadline expired first.
+    /// The queue ran dry: nothing more was waiting to join the batch.
+    Drained,
+    /// The deadline capped an admission that kept finding work.
     Deadline,
     /// The service is shutting down; the final partial batch flushed.
     Shutdown,
@@ -26,7 +31,8 @@ pub enum FlushReason {
 pub struct BatchPolicy {
     /// Flush once this many keys are batched.
     pub batch_size: usize,
-    /// Flush this long after the batch's first key arrived.
+    /// Flush this long after the batch's first key arrived, even while
+    /// more work is queued.
     pub deadline: Duration,
 }
 
@@ -46,7 +52,7 @@ impl BatchPolicy {
     }
 
     /// Whether a batch holding `keys` keys, opened at `opened`, must
-    /// flush at `now` — and why.
+    /// flush at `now` although more work is queued — and why.
     #[must_use]
     pub fn flush_due(&self, keys: usize, opened: Instant, now: Instant) -> Option<FlushReason> {
         if keys >= self.batch_size {
@@ -56,12 +62,6 @@ impl BatchPolicy {
         } else {
             None
         }
-    }
-
-    /// The latest instant a batch opened at `opened` may keep waiting.
-    #[must_use]
-    pub fn flush_deadline(&self, opened: Instant) -> Instant {
-        opened + self.deadline
     }
 }
 

@@ -21,7 +21,7 @@
 //!   role), owning that range's hash shard and, when built, its B+-tree
 //!   shard. Each worker drains one bounded queue into *batches* — flush
 //!   at [`batch_size`](ServeConfig::batch_size) probe keys plus scan
-//!   cursors, or a deadline — and feeds probes to a resumable
+//!   cursors, or as soon as the queue runs dry — and feeds probes to a resumable
 //!   [`AmacWalker`](widx_soft::AmacWalker) ring and scans to a
 //!   [`BTreeRangeWalker`](widx_soft::BTreeRangeWalker) ring (the
 //!   walkers). Writes join the same queue and apply to both tiers at one

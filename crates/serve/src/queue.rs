@@ -11,7 +11,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 use widx_core::POISON_KEY;
 use widx_soft::ScanRange;
@@ -198,43 +197,40 @@ impl ShardQueue {
     pub(crate) fn pop(&self) -> Job {
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                inner.queued_keys -= job.key_count();
-                self.not_full.notify_all();
+            if let Some(job) = self.take(&mut inner) {
                 return job;
             }
             inner = self.not_empty.wait(inner).expect("queue wait");
         }
     }
 
-    /// Pop with a deadline: returns `None` if no job arrives by
-    /// `deadline` (used by workers to close a batch on time).
-    pub(crate) fn pop_until(&self, deadline: Instant) -> Option<Job> {
-        let mut inner = self.inner.lock().expect("queue lock");
-        loop {
-            if let Some(job) = inner.jobs.pop_front() {
-                inner.queued_keys -= job.key_count();
-                self.not_full.notify_all();
-                return Some(job);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .expect("queue wait");
-            inner = guard;
-            if timeout.timed_out() && inner.jobs.is_empty() {
-                return None;
-            }
-        }
+    /// Non-blocking pop: `None` when the queue is empty. Workers admit
+    /// with this, so a batch closes the moment the queue runs dry.
+    pub(crate) fn try_pop(&self) -> Option<Job> {
+        self.take(&mut self.inner.lock().expect("queue lock"))
+    }
+
+    /// Dequeues the front job, if any, and frees its capacity.
+    fn take(&self, inner: &mut QueueInner) -> Option<Job> {
+        let job = inner.jobs.pop_front()?;
+        inner.queued_keys -= job.key_count();
+        self.not_full.notify_all();
+        Some(job)
     }
 
     /// Keys currently waiting (for occupancy/backlog introspection).
     pub(crate) fn backlog_keys(&self) -> usize {
         self.inner.lock().expect("queue lock").queued_keys
+    }
+
+    /// Pushers holding a ticket but not yet admitted. A pusher takes its
+    /// ticket and, failing admission, parks on `not_full` in one critical
+    /// section, so a nonzero count seen under the lock means that many
+    /// pushers are blocked.
+    #[cfg(test)]
+    fn blocked_pushers(&self) -> u64 {
+        let inner = self.inner.lock().expect("queue lock");
+        inner.next_ticket - inner.serving
     }
 }
 
@@ -242,7 +238,7 @@ impl ShardQueue {
 mod tests {
     use super::*;
     use crate::request::RequestKind;
-    use std::time::Duration;
+    use std::time::Instant;
 
     fn probe_job(keys: &[u64]) -> Job {
         Job::Probe {
@@ -252,6 +248,13 @@ mod tests {
                 .map(|(i, k)| (i as u32, *k))
                 .collect(),
             reply: Arc::new(ResponseState::new(RequestKind::MultiLookup, 1)),
+        }
+    }
+
+    /// Yields until `n` pushers are blocked on `q`.
+    fn await_blocked_pushers(q: &ShardQueue, n: u64) {
+        while q.blocked_pushers() < n {
+            std::thread::yield_now();
         }
     }
 
@@ -315,7 +318,8 @@ mod tests {
             q2.push(probe_job(&[5, 6])).unwrap();
             Instant::now()
         });
-        std::thread::sleep(Duration::from_millis(50));
+        await_blocked_pushers(&q, 1);
+        assert_eq!(q.backlog_keys(), 4, "the blocked push enqueued nothing");
         let popped_at = Instant::now();
         let _ = q.pop();
         let pushed_at = pusher.join().unwrap();
@@ -355,10 +359,10 @@ mod tests {
         q.push(probe_job(&[1, 2, 3])).unwrap();
         let qa = Arc::clone(&q);
         let a = std::thread::spawn(move || qa.push(probe_job(&[10; 6])).unwrap());
-        std::thread::sleep(Duration::from_millis(30));
+        await_blocked_pushers(&q, 1);
         let qb = Arc::clone(&q);
         let b = std::thread::spawn(move || qb.push(probe_job(&[7])).unwrap());
-        std::thread::sleep(Duration::from_millis(30));
+        await_blocked_pushers(&q, 2);
 
         // Drain: first the pre-filled job, then A's oversized job, then B's.
         let sizes: Vec<usize> = (0..3)
@@ -409,7 +413,7 @@ mod tests {
         q.push(probe_job(&[1, 2, 3, 4])).unwrap();
         let q2 = Arc::clone(&q);
         let blocked = std::thread::spawn(move || q2.push(probe_job(&[5, 6, 7])).unwrap());
-        std::thread::sleep(Duration::from_millis(30));
+        await_blocked_pushers(&q, 1);
         assert_eq!(
             try_push_all(vec![(&*q, probe_job(&[8]))]),
             Err(TryPushError::Full)
@@ -421,22 +425,12 @@ mod tests {
     }
 
     #[test]
-    fn pop_until_times_out_when_idle() {
+    fn try_pop_never_blocks() {
         let q = ShardQueue::new(8);
-        let deadline = Instant::now() + Duration::from_millis(20);
-        assert!(q.pop_until(deadline).is_none());
-        assert!(Instant::now() >= deadline);
-    }
-
-    #[test]
-    fn pop_until_returns_early_arrivals() {
-        let q = Arc::new(ShardQueue::new(8));
-        let q2 = Arc::clone(&q);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            q2.push(probe_job(&[1])).unwrap();
-        });
-        let job = q.pop_until(Instant::now() + Duration::from_secs(5));
-        assert!(job.is_some(), "job should arrive well before the deadline");
+        assert!(q.try_pop().is_none(), "empty queue");
+        q.push(probe_job(&[1, 2])).unwrap();
+        assert!(matches!(q.try_pop(), Some(Job::Probe { .. })));
+        assert_eq!(q.backlog_keys(), 0);
+        assert!(q.try_pop().is_none(), "drained again");
     }
 }

@@ -404,6 +404,10 @@ pub(crate) struct PendingInner {
     /// Per-request trace under construction, when sampling armed one.
     trace: Option<Box<TraceState>>,
     pub(crate) done: bool,
+    /// Stream readers parked on `ready` (a reader bumps this and parks
+    /// in one critical section).
+    #[cfg(test)]
+    blocked_readers: usize,
 }
 
 /// Shared completion state for one in-flight request: workers complete
@@ -431,6 +435,8 @@ impl ResponseState {
                 last_done: (parts == 0).then_some(submitted),
                 trace: None,
                 done: parts == 0,
+                #[cfg(test)]
+                blocked_readers: 0,
             }),
             ready: Condvar::new(),
             submitted,
@@ -901,7 +907,15 @@ impl PendingStream {
             if stream.finished(done) {
                 return None;
             }
+            #[cfg(test)]
+            {
+                inner.blocked_readers += 1;
+            }
             inner = self.state.ready.wait(inner).expect("pending wait");
+            #[cfg(test)]
+            {
+                inner.blocked_readers -= 1;
+            }
         }
     }
 
@@ -1335,7 +1349,10 @@ mod tests {
             state: Arc::clone(&state),
         };
         let pusher = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            // Push only once the reader is parked, so the push must wake it.
+            while state.inner.lock().unwrap().blocked_readers == 0 {
+                std::thread::yield_now();
+            }
             state.push_chunk(0, vec![(7, 7)]);
             state.complete_stream_part(0, &part());
         });

@@ -35,7 +35,9 @@ pub struct ServeConfig {
     pub inflight: usize,
     /// Probe keys plus scan cursors per batch before a size flush.
     pub batch_size: usize,
-    /// Longest a batch waits for company before a deadline flush.
+    /// Longest a batch keeps admitting queued work before a deadline
+    /// flush. A cap under load only: a batch never waits for company,
+    /// it flushes as soon as the queue runs dry.
     pub batch_deadline: Duration,
     /// Per-shard queue capacity in keys (backpressure threshold).
     pub queue_capacity: usize,
@@ -117,7 +119,7 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the deadline-flush bound.
+    /// Sets the deadline that caps batch admission under load.
     #[must_use]
     pub fn with_batch_deadline(mut self, deadline: Duration) -> ServeConfig {
         self.batch_deadline = deadline;

@@ -34,7 +34,10 @@ pub struct WorkerStats {
     pub scan_entries: u64,
     /// Batches closed because they reached the size target.
     pub size_flushes: u64,
-    /// Batches closed by the deadline.
+    /// Batches closed because the queue ran dry.
+    pub drained_flushes: u64,
+    /// Batches closed by the deadline cap: admission kept finding work
+    /// but never reached the size target in time.
     pub deadline_flushes: u64,
     /// Final partial batches flushed at shutdown.
     pub shutdown_flushes: u64,
@@ -64,6 +67,7 @@ impl WorkerStats {
             scan_cursors: cell.scan_cursors,
             scan_entries: cell.scan_entries,
             size_flushes: cell.size_flushes,
+            drained_flushes: cell.drained_flushes,
             deadline_flushes: cell.deadline_flushes,
             shutdown_flushes: cell.shutdown_flushes,
             write_ops: cell.write_ops,
@@ -467,8 +471,9 @@ impl ServiceStats {
             out.push_str(&format!(
                 " {{\"shard\": {}, \"jobs\": {}, \"batches\": {}, \"keys\": {}, \
                  \"matches\": {}, \"scan_cursors\": {}, \"scan_entries\": {}, \
-                 \"size_flushes\": {}, \"deadline_flushes\": {}, \
-                 \"shutdown_flushes\": {}, \"write_ops\": {}, \
+                 \"size_flushes\": {}, \"drained_flushes\": {}, \
+                 \"deadline_flushes\": {}, \"shutdown_flushes\": {}, \
+                 \"write_ops\": {}, \
                  \"write_applied\": {}, \"write_batches\": {}, \
                  \"busy_ns\": {}, \"idle_ns\": {}, \
                  \"occupancy\": {:.4}}}",
@@ -480,6 +485,7 @@ impl ServiceStats {
                 w.scan_cursors,
                 w.scan_entries,
                 w.size_flushes,
+                w.drained_flushes,
                 w.deadline_flushes,
                 w.shutdown_flushes,
                 w.write_ops,
@@ -541,6 +547,11 @@ impl ServiceStats {
         p.help("widx_worker_batches_total", "Batches flushed per worker.")
             .type_("widx_worker_batches_total", "counter");
         p.help(
+            "widx_worker_flushes_total",
+            "Batches flushed per worker, by why the batch closed.",
+        )
+        .type_("widx_worker_flushes_total", "counter");
+        p.help(
             "widx_worker_occupancy",
             "Fraction of worker lifetime spent walking.",
         )
@@ -568,6 +579,18 @@ impl ServiceStats {
             p.sample_u64("widx_worker_scan_cursors_total", &labels, w.scan_cursors);
             p.sample_u64("widx_worker_scan_entries_total", &labels, w.scan_entries);
             p.sample_u64("widx_worker_batches_total", &labels, w.batches);
+            for (reason, n) in [
+                ("size", w.size_flushes),
+                ("drained", w.drained_flushes),
+                ("deadline", w.deadline_flushes),
+                ("shutdown", w.shutdown_flushes),
+            ] {
+                p.sample_u64(
+                    "widx_worker_flushes_total",
+                    &[("shard", shard.as_str()), ("reason", reason)],
+                    n,
+                );
+            }
             p.sample("widx_worker_occupancy", &labels, w.occupancy());
             p.sample_u64("widx_write_ops_total", &labels, w.write_ops);
             p.sample_u64("widx_write_applied_total", &labels, w.write_applied);

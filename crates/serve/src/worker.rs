@@ -37,7 +37,7 @@
 //! their job is memory-model visibility, not writer arbitration.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use widx_db::index::{BTreeIndex, HashIndex};
 use widx_obs::{FlushKind, ProfCell, Stage, StageClock, WalkCounters, WorkerCell};
@@ -177,6 +177,7 @@ fn apply_writes(
 fn flush_kind(reason: FlushReason) -> FlushKind {
     match reason {
         FlushReason::Size => FlushKind::Size,
+        FlushReason::Drained => FlushKind::Drained,
         FlushReason::Deadline => FlushKind::Deadline,
         FlushReason::Shutdown => FlushKind::Shutdown,
     }
@@ -253,8 +254,6 @@ struct Batch<'g> {
     sink: Sink,
     keys: u64,
     cursors: u64,
-    /// Time spent feeding and draining the walkers.
-    busy: Duration,
 }
 
 impl<'g> Batch<'g> {
@@ -355,7 +354,6 @@ pub(crate) fn run_worker(ctx: &WorkerContext) {
                     },
                     keys: 0,
                     cursors: 0,
-                    busy: Duration::ZERO,
                 };
                 let (shutdown, end) =
                     run_batch(ctx, &mut batch, read, popped, &mut writes, &mut clock);
@@ -392,38 +390,32 @@ fn run_batch(
     let cell = &*ctx.cell;
     let mut shutdown = false;
     batch.admit(ctx, first, opened);
-    let mut now = clock.read();
-    batch.busy += now - opened;
 
-    // Keep admitting until the policy closes the batch. Probe keys and
-    // scan cursors both count toward the size flush.
+    // Work-conserving admission: take queued work until the batch fills
+    // or the queue runs dry, never waiting for more. Under a backlog the
+    // deadline caps how long admission runs. Probe keys and scan cursors
+    // both count toward the size flush.
+    let mut now = opened;
     let reason = loop {
         if let Some(reason) = ctx.policy.flush_due(batch.sink.meta.len(), opened, now) {
             break reason;
         }
-        let next = ctx.queue.pop_until(ctx.policy.flush_deadline(opened));
-        let at = clock.read();
-        cell.add_idle(at - now);
-        now = at;
+        let Some(next) = ctx.queue.try_pop() else {
+            break FlushReason::Drained;
+        };
+        now = clock.read();
         match next {
-            Some(Job::Write { ops, reply }) => {
-                // Writes never interleave into an open walker batch:
-                // stash for the barrier right after this batch closes.
-                writes.push(WriteJob { ops, reply });
-            }
-            Some(Job::Poison { .. }) => {
+            // Writes never interleave into an open walker batch: stash
+            // for the barrier right after this batch closes.
+            Job::Write { ops, reply } => writes.push(WriteJob { ops, reply }),
+            Job::Poison { .. } => {
                 shutdown = true;
                 break FlushReason::Shutdown;
             }
-            Some(read) => {
-                batch.admit(ctx, read, at);
-                now = clock.read();
-                batch.busy += now - at;
-            }
-            None => break FlushReason::Deadline,
+            read => batch.admit(ctx, read, now),
         }
     };
-    let closed = now;
+    let closed = clock.read();
     clock.close(Some(Stage::BatchWait));
 
     // Drain both rings: emissions attribute inline, in emit order, so
@@ -436,7 +428,6 @@ fn run_batch(
     }
     let drained = clock.read();
     clock.close(Some(Stage::Walk));
-    batch.busy += drained - closed;
 
     // Flush every streaming tag's tail chunk.
     for (tag, buf) in sink.chunks.iter_mut().enumerate() {
@@ -459,7 +450,9 @@ fn run_batch(
     cell.add_batch(batch.keys, flush_kind(reason));
     cell.add_matches(matches);
     cell.add_scans(batch.cursors, entries);
-    cell.add_busy(batch.busy);
+    // Nothing in the batch window blocks: admitting and walking are
+    // both busy time.
+    cell.add_busy(drained - opened);
     let mut walk = batch.probes.take_counters();
     if let Some(scans) = &mut batch.scans {
         walk.merge(&scans.take_counters());
@@ -478,4 +471,98 @@ fn run_batch(
     let end = clock.read();
     clock.close(Some(Stage::Gather));
     (shutdown, end)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    use widx_db::hash::HashRecipe;
+
+    use crate::request::{Request, RequestKind, Response};
+    use crate::service::{ProbeService, ServeConfig};
+
+    /// A one-shard worker over keys `0..1024` with a size target of 64
+    /// and a deadline that can never fire in a test.
+    fn context(queue: &Arc<ShardQueue>) -> WorkerContext {
+        let pairs = (0..1024u64).map(|k| (k, k + 1));
+        WorkerContext {
+            shard: 0,
+            queue: Arc::clone(queue),
+            sharded: Arc::new(ShardedIndex::from_pairs(
+                HashRecipe::robust64(),
+                1,
+                64,
+                1.0,
+                pairs,
+            )),
+            ordered: None,
+            policy: BatchPolicy::new(64, Duration::from_secs(3600)),
+            inflight: 8,
+            stream_chunk: 512,
+            cell: Arc::new(WorkerCell::new()),
+            prof: None,
+        }
+    }
+
+    #[test]
+    fn work_conserving_backlog_still_fills_size_batches() {
+        let queue = Arc::new(ShardQueue::new(1024));
+        let replies: Vec<Arc<ResponseState>> = (0..256u64)
+            .map(|key| {
+                let reply = Arc::new(ResponseState::new(RequestKind::MultiLookup, 1));
+                let entries = vec![(0, key)];
+                let job = Job::Probe {
+                    entries,
+                    reply: Arc::clone(&reply),
+                };
+                queue.push(job).unwrap();
+                reply
+            })
+            .collect();
+        queue.push_poison();
+        let ctx = context(&queue);
+        run_worker(&ctx); // returns at the poison pill
+
+        let stats = ctx.cell.snapshot();
+        assert_eq!((stats.batches, stats.keys), (4, 256));
+        assert_eq!(
+            (
+                stats.size_flushes,
+                stats.drained_flushes,
+                stats.deadline_flushes,
+                stats.shutdown_flushes
+            ),
+            (4, 0, 0, 0),
+            "a backlog fills every batch to its size target"
+        );
+        for (key, reply) in (0u64..).zip(&replies) {
+            let inner = reply.inner.lock().unwrap();
+            assert!(inner.done, "key {key} was answered");
+            assert_eq!(inner.items, vec![(0, key, key + 1)]);
+        }
+    }
+
+    #[test]
+    fn work_conserving_lone_lookup_flushes_when_the_queue_runs_dry() {
+        let config = ServeConfig::default()
+            .with_shards(1)
+            .with_batch_deadline(Duration::from_secs(3600));
+        let service =
+            ProbeService::build(HashRecipe::robust64(), (0..64u64).map(|k| (k, k)), &config);
+        let pending = service.submit(Request::Lookup { key: 7 }).unwrap();
+        match pending.wait_timeout(Duration::from_secs(30)) {
+            Ok(Response::Lookup { payloads, .. }) => assert_eq!(payloads, vec![7]),
+            Ok(other) => panic!("wrong variant {other:?}"),
+            Err(_) => panic!("a lone lookup waited for company"),
+        }
+        let stats = service.shutdown();
+        let worker = &stats.workers[0];
+        assert_eq!(worker.batches, 1);
+        assert_eq!((worker.drained_flushes, worker.deadline_flushes), (1, 0));
+        assert!(stats
+            .render_prometheus()
+            .contains("widx_worker_flushes_total{shard=\"0\",reason=\"drained\"} 1\n"));
+    }
 }

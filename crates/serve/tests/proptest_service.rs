@@ -27,8 +27,8 @@ fn config(shards: usize, batch: usize, inflight: usize, capacity: usize) -> Serv
         .with_batch_size(batch)
         .with_inflight(inflight)
         .with_queue_capacity(capacity)
-        // Short enough that deadline flushes actually happen in-test,
-        // long enough not to dominate runtime.
+        // A short admission cap, so a backlog can end a batch by
+        // deadline as well as by size or by running dry.
         .with_batch_deadline(Duration::from_micros(100))
 }
 
